@@ -282,17 +282,19 @@ fn golden_observation() -> Observation {
 /// Derives the checkpoint family: full `CHAMFLT1` session blobs (clean
 /// and faulted) and the embedded `CHAMLN02` learner blob, from a fixed
 /// 12-batch solo session — plus the `CHAMSEG1` durable-store framing
-/// those blobs are sealed into on eviction, and the quantized
-/// `CHAMFLT2`/`CHAMLN03` twins of the clean session (int8 latents).
+/// those blobs are sealed into on eviction, the quantized
+/// `CHAMFLT2`/`CHAMLN03` twins of the clean session (int8 latents), and
+/// the `CHAMRTE1` router-state records and log image.
 fn derive_checkpoints() -> GoldenFile {
     let scenario = golden_scenario();
     let version = format!(
-        "{}+{}+{}+{}+{}",
+        "{}+{}+{}+{}+{}+{}",
         String::from_utf8_lossy(chameleon_fleet::FLEET_MAGIC),
         String::from_utf8_lossy(chameleon_fleet::FLEET_MAGIC_V2),
         String::from_utf8_lossy(chameleon_core::checkpoint::MAGIC),
         String::from_utf8_lossy(chameleon_core::checkpoint::MAGIC_V3),
         String::from_utf8_lossy(chameleon_store::SEGMENT_MAGIC),
+        String::from_utf8_lossy(chameleon_route::state::STATE_MAGIC),
     );
     let blob_after = |faults: Option<FaultPlan>, precision: chameleon_core::Precision| {
         let mut session = UserSession::new(
@@ -312,6 +314,11 @@ fn derive_checkpoints() -> GoldenFile {
         chameleon_core::Precision::F32,
     );
     let int8 = blob_after(None, chameleon_core::Precision::Int8);
+    let mut router_image = chameleon_route::state::RouterImage::default();
+    router_image.pins.insert(7, "127.0.0.1:7411".to_string());
+    router_image.pins.insert(3, "127.0.0.1:7412".to_string());
+    router_image.shadows.insert(7, (4, vec![0xAB; 24]));
+    router_image.shadows.insert(3, (9, vec![0xCD; 8]));
     GoldenFile {
         file: GOLDEN_FILE_NAMES[1],
         version,
@@ -337,6 +344,23 @@ fn derive_checkpoints() -> GoldenFile {
                 "chamseg1_record_int8".to_string(),
                 hex(&chameleon_store::encode_record(1, 0, &int8.to_bytes())),
             ),
+            (
+                "chamrte1_record_pin".to_string(),
+                hex(&chameleon_route::state::encode_pin(7, "127.0.0.1:7411")),
+            ),
+            (
+                "chamrte1_record_unpin".to_string(),
+                hex(&chameleon_route::state::encode_unpin(7)),
+            ),
+            (
+                "chamrte1_record_shadow".to_string(),
+                hex(&chameleon_route::state::encode_shadow(
+                    7,
+                    4,
+                    &[0xCA, 0xFE, 0xF0, 0x0D],
+                )),
+            ),
+            ("chamrte1_image".to_string(), hex(&router_image.encode())),
         ],
     }
 }
