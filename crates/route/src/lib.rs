@@ -53,15 +53,3 @@ pub mod state;
 pub use mux::{MuxConnection, MuxError, MuxOptions};
 pub use registry::{Backend, BackendState, Registry};
 pub use router::{RouteCounters, Router, RouterConfig};
-
-/// Locks a mutex, recovering the data behind a poisoned lock instead of
-/// propagating the panic. One router worker dying mid-request must not
-/// brick every other worker and the prober; all router state updates are
-/// single-key inserts/removes that are valid at every intermediate
-/// point, so the data behind a poisoned lock is always safe to keep
-/// serving.
-pub(crate) fn plock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

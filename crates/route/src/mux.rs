@@ -29,10 +29,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use chameleon_replay::crc32;
-use chameleon_runtime::{splitmix64, Clock, SimRng};
+use chameleon_runtime::{plock, splitmix64, Clock, SimRng};
 use chameleon_serve::wire::{encode_frame, Request, Response, WIRE_MAGIC};
-
-use crate::plock;
 
 /// Why a multiplexed request failed at the connection level. A typed
 /// error *response* from the backend is a success at this layer.

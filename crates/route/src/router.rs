@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use chameleon_fleet::SessionId;
 use chameleon_obs::{Observation, Observer, Stage};
-use chameleon_runtime::{timed, Clock, WallClock};
+use chameleon_runtime::{plock, timed, Clock, WallClock};
 use chameleon_serve::wire::{
     correlation_of, decode_frame, encode_frame, ErrorCode, ProbeSummary, Request, Response,
     StatsSnapshot, WireError, MAX_PAYLOAD_BYTES,
@@ -46,7 +46,6 @@ use chameleon_serve::wire::{
 use chameleon_stream::ConfigError;
 
 use crate::mux::{MuxConnection, MuxOptions};
-use crate::plock;
 use crate::registry::{BackendState, Registry};
 use crate::state::{self, StateLog};
 
@@ -727,6 +726,7 @@ fn build_route_observation(shared: &Shared, obs: &Observer) -> Observation {
         o.push_counter("route.state_append_bytes", s.append_bytes);
         o.push_counter("route.state_compactions", s.compactions);
         o.push_counter("route.state_truncated_bytes", s.truncated_bytes);
+        o.push_counter("route.state_decode_rejects", s.decode_rejects);
     }
     let registry = plock(&shared.registry);
     o.push_counter(

@@ -324,26 +324,26 @@ impl Cluster {
             let seq = self.shadow_seqs.get(&session).copied().unwrap_or(0);
             log.extend_from_slice(&state::encode_shadow(session, seq, &self.shadows[&session]));
         }
-        let decoded = state::decode_state(&log)
+        let (image, scan) = state::decode_state(&log)
             .map_err(|e| format!("router restart: state log unreadable: {e}"))?;
-        if let Some(damage) = decoded.damage {
+        if let Some(damage) = scan.damage {
             return Err(format!("router restart: state log damaged: {damage}"));
         }
         for &session in &sessions {
             let expected = format!("node-{}", self.placement[&session]);
-            if decoded.image.pins.get(&session) != Some(&expected) {
+            if image.pins.get(&session) != Some(&expected) {
                 return Err(format!(
                     "router restart: session {session} pin did not survive the \
                      CHAMRTE1 round-trip"
                 ));
             }
         }
-        if decoded.image.pins.len() != sessions.len() {
+        if image.pins.len() != sessions.len() {
             return Err("router restart: recovered pin table has extra entries".to_string());
         }
         for &session in &shadowed {
             let seq = self.shadow_seqs.get(&session).copied().unwrap_or(0);
-            match decoded.image.shadows.get(&session) {
+            match image.shadows.get(&session) {
                 Some((s, blob)) if *s == seq && *blob == self.shadows[&session] => {}
                 _ => {
                     return Err(format!(
