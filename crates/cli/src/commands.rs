@@ -17,6 +17,7 @@ use chameleon_hw::{Device, JetsonNano, NominalModel, SystolicAccelerator, Worklo
 use chameleon_route::{Router, RouterConfig};
 use chameleon_serve::wire::StatsSnapshot;
 use chameleon_serve::{Connection, ServeConfig, ServeCounters, Server};
+use chameleon_simtest::Schedule;
 use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
 
 use crate::args::Options;
@@ -103,9 +104,10 @@ COMMANDS:
     [--json]                    one JSON document per poll
     [--expo]                    Prometheus text exposition per poll
   simtest                       deterministic simulation soak + golden corpus
+                                (one sweep, replay or golden mode per run)
     --seeds <n>                 scheduler seeds to sweep       [default: 25]
     --start-seed <n>            first seed of the sweep        [default: 0]
-    --budget-secs <s>           wall-clock budget for the sweep
+    --budget-secs <s>           wall-clock budget for any sweep
     --replay <seed>             re-check one seed and print its outcome
     --check-golden              re-derive the golden corpus and fail on drift
     --regen-golden              rewrite the golden corpus files
@@ -1607,8 +1609,8 @@ fn stats(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `chameleon simtest` — seeded simulation soak over the fleet engine
-/// plus the golden-corpus conformance gate.
+/// `chameleon simtest` — a seed sweep or one-seed replay of a simulation
+/// schedule, or the golden-corpus conformance gate.
 fn simtest(options: &Options) -> Result<(), String> {
     options.expect_only(&[
         "seeds",
@@ -1630,6 +1632,39 @@ fn simtest(options: &Options) -> Result<(), String> {
         "quantized-seeds",
         "quantized-start-seed",
     ])?;
+    // One mode at most: a golden gate, a `--{X-}seeds N` sweep or a
+    // `--{X-}replay SEED` replay. With none, 25 lifecycle seeds are swept.
+    let mut modes: Vec<String> = ["regen-golden", "check-golden"]
+        .into_iter()
+        .filter(|flag| options.has_flag(flag))
+        .map(str::to_string)
+        .collect();
+    let mut selected = None;
+    for schedule in Schedule::ALL {
+        for kind in ["seeds", "replay"] {
+            let flag = format!("{}{kind}", schedule.flag_prefix());
+            if options.get(&flag).is_some() {
+                selected = Some((schedule, kind == "replay"));
+                modes.push(flag);
+            }
+        }
+    }
+    if modes.len() > 1 {
+        return Err(format!(
+            "--{} select different simtest modes; pass one",
+            modes.join(" and --")
+        ));
+    }
+    let (schedule, replay) = selected.unwrap_or((Schedule::Lifecycle, false));
+    let swept = (!replay && (selected.is_some() || modes.is_empty())).then_some(schedule);
+    for other in Schedule::ALL {
+        let prefix = other.flag_prefix();
+        if options.get(&format!("{prefix}start-seed")).is_some() && swept != Some(other) {
+            return Err(format!(
+                "--{prefix}start-seed applies only to a --{prefix}seeds sweep"
+            ));
+        }
+    }
     let golden_dir = std::path::PathBuf::from(options.get_or("golden-dir", "tests/golden"));
 
     if options.has_flag("regen-golden") {
@@ -1680,205 +1715,17 @@ fn simtest(options: &Options) -> Result<(), String> {
     }
 
     let scenario = chameleon_simtest::golden_scenario();
-
-    let print_crash = |outcome: &chameleon_simtest::CrashOutcome| {
-        println!(
-            "simtest: crash seed {} OK — {} ops, {} eviction boundaries, \
-             {} session recoveries, {} record(s) lost to the hostile disk{}",
-            outcome.seed,
-            outcome.ops,
-            outcome.boundaries,
-            outcome.sessions_recovered,
-            outcome.records_lost,
-            if outcome.file_faulted {
-                " (file faults on)"
-            } else {
-                ""
-            }
-        );
-    };
-    if let Some(raw) = options.get("crash-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --crash-replay"))?;
-        let scratch = chameleon_simtest::crash::default_scratch();
-        let outcome = chameleon_simtest::check_crash_seed(&scenario, seed, &scratch)?;
-        std::fs::remove_dir_all(&scratch).ok();
-        print_crash(&outcome);
+    let prefix = schedule.flag_prefix();
+    if replay {
+        let seed: u64 = options.get_parsed_or(&format!("{prefix}replay"), 0)?;
+        println!("{}", schedule.check(&scenario, seed)?.line);
         return Ok(());
     }
-    if let Some(raw) = options.get("crash-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --crash-seeds"))?;
-        if seeds == 0 {
-            return Err("--crash-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("crash-start-seed", 0)?;
-        let scratch = chameleon_simtest::crash::default_scratch();
-        let (mut boundaries, mut recoveries, mut lost) = (0u64, 0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_crash_seed(&scenario, seed, &scratch)?;
-            boundaries += outcome.boundaries as u64;
-            recoveries += outcome.sessions_recovered;
-            lost += outcome.records_lost;
-        }
-        std::fs::remove_dir_all(&scratch).ok();
-        println!(
-            "simtest: {seeds}/{seeds} crash seeds passed — {boundaries} eviction \
-             boundaries killed and recovered, {recoveries} session recoveries, \
-             {lost} unsynced record(s) lost to hostile disks"
-        );
-        return Ok(());
-    }
-
-    let print_route = |outcome: &chameleon_simtest::RouteSeedOutcome| {
-        println!(
-            "simtest: route seed {} OK — {} ops on {} nodes, {} handoff(s), \
-             {} kill(s) re-homing {} session(s), {} router restart(s){}, \
-             log digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.seed,
-            outcome.ops,
-            outcome.nodes,
-            outcome.handoffs,
-            outcome.kills,
-            outcome.recovered,
-            outcome.router_restarts,
-            if outcome.faulted { " (faulted)" } else { "" },
-            outcome.log_digest,
-            outcome.checkpoint_crc
-        );
-    };
-    if let Some(raw) = options.get("route-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --route-replay"))?;
-        let outcome = chameleon_simtest::check_route_seed(&scenario, seed)?;
-        print_route(&outcome);
-        return Ok(());
-    }
-    if let Some(raw) = options.get("route-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --route-seeds"))?;
-        if seeds == 0 {
-            return Err("--route-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("route-start-seed", 0)?;
-        let (mut handoffs, mut kills, mut recovered, mut faulted) = (0u64, 0u64, 0u64, 0u64);
-        let mut restarts = 0u64;
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_route_seed(&scenario, seed).map_err(|e| {
-                format!("{e}; reproduce with `chameleon simtest --route-replay {seed}`")
-            })?;
-            handoffs += outcome.handoffs;
-            kills += outcome.kills;
-            recovered += outcome.recovered;
-            restarts += outcome.router_restarts;
-            faulted += u64::from(outcome.faulted);
-        }
-        println!(
-            "simtest: {seeds}/{seeds} route seeds passed — {handoffs} session(s) handed \
-             off, {kills} node kill(s) re-homing {recovered} session(s) from shadows, \
-             {restarts} router restart(s) recovered bit-identically, \
-             {faulted} faulted case(s); every schedule matched its single-node reference"
-        );
-        return Ok(());
-    }
-
-    let print_balance = |outcome: &chameleon_simtest::BalanceSeedOutcome| {
-        println!(
-            "simtest: balance seed {} OK — {} ops on {} shards, {} migration(s), \
-             {} skipped{}, log digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.seed,
-            outcome.ops,
-            outcome.shards,
-            outcome.migrations,
-            outcome.skipped,
-            if outcome.faulted { " (faulted)" } else { "" },
-            outcome.log_digest,
-            outcome.checkpoint_crc
-        );
-    };
-    if let Some(raw) = options.get("balance-replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --balance-replay"))?;
-        let outcome = chameleon_simtest::check_balance_seed(&scenario, seed)?;
-        print_balance(&outcome);
-        return Ok(());
-    }
-    if let Some(raw) = options.get("balance-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --balance-seeds"))?;
-        if seeds == 0 {
-            return Err("--balance-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("balance-start-seed", 0)?;
-        let (mut migrations, mut skipped, mut faulted) = (0u64, 0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_balance_seed(&scenario, seed).map_err(|e| {
-                format!("{e}; reproduce with `chameleon simtest --balance-replay {seed}`")
-            })?;
-            migrations += outcome.migrations;
-            skipped += outcome.skipped;
-            faulted += u64::from(outcome.faulted);
-        }
-        println!(
-            "simtest: {seeds}/{seeds} balance seeds passed — {migrations} online \
-             migration(s) performed, {skipped} skipped, {faulted} faulted case(s); \
-             every migration schedule matched its unmigrated reference bit for bit"
-        );
-        return Ok(());
-    }
-
-    if let Some(raw) = options.get("quantized-seeds") {
-        let seeds: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --quantized-seeds"))?;
-        if seeds == 0 {
-            return Err("--quantized-seeds must be at least 1".to_string());
-        }
-        let start: u64 = options.get_parsed_or("quantized-start-seed", 0)?;
-        let (mut faulted, mut events) = (0u64, 0u64);
-        for seed in start..start.saturating_add(seeds) {
-            let outcome = chameleon_simtest::check_seed_at(&scenario, seed, Precision::Int8)
-                .map_err(|e| format!("quantized seed {seed} violated a fleet invariant: {e}"))?;
-            faulted += u64::from(outcome.faulted);
-            events += outcome.events;
-        }
-        println!(
-            "simtest: {seeds}/{seeds} quantized (int8) seeds passed ({faulted} \
-             faulted, {events} events) — shard-count invariance and replay \
-             determinism hold with packed latents"
-        );
-        return Ok(());
-    }
-
-    if let Some(raw) = options.get("replay") {
-        let seed: u64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value `{raw}` for --replay"))?;
-        let outcome = chameleon_simtest::check_seed(&scenario, seed)?;
-        println!(
-            "simtest: seed {seed} OK — {} ops, {} shards, faulted {}, {} events, \
-             event digest {:#010x}, checkpoint crc {:#010x}",
-            outcome.ops,
-            outcome.shards,
-            outcome.faulted,
-            outcome.events,
-            outcome.event_digest,
-            outcome.checkpoint_crc
-        );
-        return Ok(());
-    }
-
-    let seeds: u64 = options.get_parsed_or("seeds", 25)?;
+    let seeds: u64 = options.get_parsed_or(&format!("{prefix}seeds"), 25)?;
     if seeds == 0 {
-        return Err("--seeds must be at least 1".to_string());
+        return Err(format!("--{prefix}seeds must be at least 1"));
     }
-    let start_seed: u64 = options.get_parsed_or("start-seed", 0)?;
+    let start_seed: u64 = options.get_parsed_or(&format!("{prefix}start-seed"), 0)?;
     let budget = match options.get("budget-secs") {
         None => None,
         Some(raw) => {
@@ -1891,37 +1738,18 @@ fn simtest(options: &Options) -> Result<(), String> {
             Some(std::time::Duration::from_secs_f64(secs))
         }
     };
-    let config = chameleon_simtest::SoakConfig {
-        start_seed,
-        seeds,
-        budget,
-    };
-    let report = chameleon_simtest::soak::run(&scenario, &config, |seed, outcome| {
-        if let Err(violation) = outcome {
-            eprintln!("simtest: seed {seed} FAILED: {violation}");
-        }
-    });
-    println!(
-        "simtest: {}/{} seeds passed ({} faulted, {} events){}",
-        report.passed,
-        report.checked,
-        report.faulted,
-        report.events,
-        if report.budget_exhausted {
-            " — budget exhausted"
-        } else {
-            ""
-        }
-    );
-    if report.all_passed() {
-        Ok(())
-    } else {
-        let (seed, _) = report.failures[0];
-        Err(format!(
-            "{} seed(s) violated simulation invariants; reproduce with \
-             `chameleon simtest --replay {seed}`",
-            report.failures.len()
-        ))
+    let report = chameleon_simtest::sweep(&scenario, schedule, start_seed, seeds, budget);
+    println!("{}", report.summary());
+    for (_, failure) in &report.failures {
+        eprintln!("simtest: FAILED: {failure}");
+    }
+    match report.failures.first() {
+        None => Ok(()),
+        Some((_, first)) => Err(format!(
+            "{} of {} seed(s) violated simulation invariants; first: {first}",
+            report.failures.len(),
+            report.checked
+        )),
     }
 }
 
@@ -2503,6 +2331,34 @@ mod tests {
         assert!(dispatch(&toks(&["simtest", "--crash-seeds", "0"])).is_err());
         assert!(dispatch(&toks(&["simtest", "--crash-seeds", "x"])).is_err());
         assert!(dispatch(&toks(&["simtest", "--crash-replay", "x"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--route-seeds", "0"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--route-seeds", "x"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--route-replay", "x"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--quantized-seeds", "0"])).is_err());
+        assert!(dispatch(&toks(&["simtest", "--quantized-seeds", "x"])).is_err());
+        // More than one mode selector, or a start seed for a sweep that
+        // is not selected, is refused rather than silently ignored.
+        for argv in [
+            &["--route-seeds", "5", "--balance-seeds", "5"][..],
+            &["--seeds", "10", "--crash-seeds", "2"],
+            &["--replay", "1", "--seeds", "2"],
+            &["--crash-replay", "3", "--balance-replay", "2"],
+            &["--check-golden", "--seeds", "2"],
+            &["--crash-start-seed", "4"],
+            &["--start-seed", "4", "--crash-seeds", "1"],
+            &["--crash-start-seed", "4", "--crash-replay", "3"],
+            &["--quantized-start-seed", "1", "--check-golden"],
+        ] {
+            let args: Vec<&str> = std::iter::once("simtest")
+                .chain(argv.iter().copied())
+                .collect();
+            let error = dispatch(&toks(&args)).expect_err("ambiguous simtest mode");
+            assert!(
+                error.contains("select different simtest modes")
+                    || error.contains("applies only to a"),
+                "{argv:?}: {error}"
+            );
+        }
     }
 
     #[test]
@@ -2521,6 +2377,16 @@ mod tests {
     fn simtest_soaks_and_replays_a_seed() {
         assert!(dispatch(&toks(&["simtest", "--seeds", "2"])).is_ok());
         assert!(dispatch(&toks(&["simtest", "--replay", "1"])).is_ok());
+        assert!(dispatch(&toks(&["simtest", "--quantized-seeds", "1"])).is_ok());
+        assert!(dispatch(&toks(&[
+            "simtest",
+            "--route-seeds",
+            "1",
+            "--route-start-seed",
+            "3",
+        ]))
+        .is_ok());
+        assert!(dispatch(&toks(&["simtest", "--route-replay", "3"])).is_ok());
     }
 
     #[test]

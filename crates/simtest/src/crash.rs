@@ -27,13 +27,13 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use chameleon_fleet::{
-    FleetConfig, FleetEngine, SessionCheckpoint, SessionCommand, SessionEventKind,
-};
+use chameleon_core::Precision;
+use chameleon_fleet::{FleetConfig, FleetEngine, SessionCheckpoint, SessionCommand};
 use chameleon_runtime::{splitmix64, Runtime};
 use chameleon_store::{SharedStore, StoreConfig};
 use chameleon_stream::DomainIlScenario;
 
+use crate::run::{self, SessionBytes};
 use crate::script::{self, Op};
 
 /// Batches each recovered session trains after recovery for the
@@ -78,42 +78,37 @@ fn scheduler_seed(seed: u64) -> u64 {
 /// (duplicate creates, unknown ids) — those refusals are the lifecycle
 /// explorer's concern, not the crash schedule's.
 fn apply(engine: &mut FleetEngine, seed: u64, op: &Op) {
-    let _ = match op {
-        Op::Create { session } => {
-            engine.create_blocking(*session, script::session_spec(seed, *session))
-        }
-        Op::Step { session, batches } => {
-            engine.command_blocking(*session, SessionCommand::Step { batches: *batches })
-        }
-        Op::Checkpoint { session } => engine.command_blocking(*session, SessionCommand::Checkpoint),
-        Op::Evict { session } => engine.command_blocking(*session, SessionCommand::Evict),
-        Op::Evaluate { session } => engine.command_blocking(*session, SessionCommand::Evaluate),
-    };
+    let _ = run::submit(engine, seed, op, Precision::F32);
     engine.drain_pending();
 }
 
-/// Collects each session's checkpoint blob from the engine (used for
-/// the post-recovery continuation check).
-fn checkpoint_all(engine: &mut FleetEngine, sessions: &[u64]) -> HashMap<u64, Vec<u8>> {
-    let mut blobs = HashMap::new();
-    for &session in sessions {
-        if engine.known(session)
-            && engine
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .is_ok()
-        {
-            for event in engine.drain_pending() {
-                if let SessionEventKind::Checkpointed(blob) = event.kind {
-                    blobs.insert(event.session, blob);
-                }
+/// Collects each known session's checkpoint blob from the engine (used
+/// for the post-recovery continuation check).
+fn checkpoint_all(engine: &mut FleetEngine, sessions: &[u64]) -> SessionBytes {
+    let mut blobs = SessionBytes::new();
+    for &id in sessions {
+        if engine.known(id) {
+            if let Ok(blob) = run::final_blob(engine, id) {
+                blobs.insert(id, blob);
             }
         }
     }
     blobs
 }
 
+/// Removes a scratch directory when dropped, so every exit path of a
+/// crash case — early error returns included — cleans up after itself.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Runs the full crash schedule for one seed. `scratch` is a directory
-/// this case may create, fill, and delete freely.
+/// this case may create, fill, and delete freely; it is removed when
+/// the case returns, whether it passed or not.
 ///
 /// # Errors
 ///
@@ -126,9 +121,9 @@ pub fn check_crash_seed(
 ) -> Result<CrashOutcome, String> {
     let ops = script::generate(seed);
     let file_faults = script::file_fault_plan(seed);
-    let err = |boundary: usize, msg: String| {
-        format!("crash seed {seed} boundary {boundary}: {msg} — replay with --crash-replay {seed}")
-    };
+    let err =
+        |boundary: usize, msg: String| format!("crash seed {seed} boundary {boundary}: {msg}");
+    let _cleanup = RemoveOnDrop(scratch.to_path_buf());
 
     // Phase 1: uninterrupted baseline on a clean disk. Every sealed
     // record it produces is a durability promise the crash runs must
@@ -344,6 +339,23 @@ mod tests {
             "no eviction boundary in either script — crash coverage degenerate"
         );
         let _ = std::fs::remove_dir_all(&scratch);
+    }
+
+    #[test]
+    fn a_failing_case_still_removes_its_scratch_dir() {
+        let scenario = golden_scenario();
+        let scratch = default_scratch().join("early-return");
+        // A file where the first crash boundary's store directory goes
+        // makes that store fail to open after the baseline has run.
+        std::fs::create_dir_all(&scratch).expect("scratch dir");
+        std::fs::write(scratch.join("crash-4-b1"), b"not a directory").expect("blocker");
+        let error = check_crash_seed(&scenario, 4, &scratch).expect_err("store open must fail");
+        assert!(error.contains("boundary 1: open store"), "{error}");
+        assert!(
+            !error.contains("--crash-replay"),
+            "the sweep adds the repro: {error}"
+        );
+        assert!(!scratch.exists(), "scratch dir leaked on the error path");
     }
 
     #[test]

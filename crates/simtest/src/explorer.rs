@@ -21,15 +21,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use chameleon_core::Precision;
-use chameleon_fleet::{
-    FleetConfig, FleetEngine, FleetError, SessionCheckpoint, SessionCommand, SessionEvent,
-    SessionEventKind, SessionId,
-};
-use chameleon_replay::crc32;
+use chameleon_fleet::{FleetEngine, SessionCheckpoint, SessionEvent, SessionEventKind, SessionId};
 use chameleon_runtime::splitmix64;
 use chameleon_stream::DomainIlScenario;
 
-use crate::digest::{digest_events, digest_spans, encode_event, ShardScope};
+use crate::digest::{digest_events, digest_spans, ShardScope};
+use crate::run::{self, SessionBytes};
 use crate::script::{self, Op};
 
 /// What one passing seed looked like — enough to cross-check a replay
@@ -61,7 +58,7 @@ struct SimRun {
     engine: FleetEngine,
     /// Shard-agnostic per-session encoding of everything observable:
     /// events (probes included) and synchronously refused submissions.
-    logs: HashMap<SessionId, Vec<u8>>,
+    logs: SessionBytes,
     /// Every event in engine arrival order (shard-sensitive digests).
     all_events: Vec<SessionEvent>,
     /// Highest `trace.inputs` seen per session — progress counters must
@@ -73,154 +70,40 @@ struct SimRun {
 
 impl SimRun {
     fn new(
-        scenario: Arc<DomainIlScenario>,
-        config: FleetConfig,
+        scenario: &Arc<DomainIlScenario>,
+        seed: u64,
+        shards: usize,
         scheduler_seed: u64,
         precision: Precision,
     ) -> Self {
         Self {
-            engine: FleetEngine::new_sim(scenario, config, scheduler_seed),
-            logs: HashMap::new(),
+            engine: FleetEngine::new_sim(
+                Arc::clone(scenario),
+                run::fleet_config(seed, shards),
+                scheduler_seed,
+            ),
+            logs: SessionBytes::new(),
             all_events: Vec::new(),
             progress: HashMap::new(),
             precision,
         }
     }
 
-    /// Applies one op (riding out backpressure), drains its events into
-    /// the per-session logs, then probes the touched session with a
-    /// `Checkpoint` command so the full `CHAMFLT1` bytes after this
-    /// prefix are part of the observable history.
-    fn apply(&mut self, seed: u64, op: &Op, probe: bool) -> Result<(), String> {
-        let session = op.session();
-        let submitted = match op {
-            Op::Create { session } => self.engine.create_blocking(
-                *session,
-                script::session_spec_at(seed, *session, self.precision),
-            ),
-            Op::Step { session, batches } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Step { batches: *batches }),
-            Op::Checkpoint { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Checkpoint),
-            Op::Evict { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Evict),
-            Op::Evaluate { session } => self
-                .engine
-                .command_blocking(*session, SessionCommand::Evaluate),
-        };
-        if let Err(error) = submitted {
-            // Synchronous refusals (unknown/duplicate ids) are part of
-            // the observable contract: both engines must refuse the
-            // same ops. `Rejected` cannot reach here (blocking submit).
-            self.log_refusal(session, &error);
-        }
-        self.collect()?;
-        if probe && self.engine.known(session) {
-            self.engine
-                .command_blocking(session, SessionCommand::Checkpoint)
-                .map_err(|e| format!("checkpoint probe refused: {e}"))?;
-            self.collect()?;
-        }
-        Ok(())
-    }
-
-    /// Drains pending events into the logs, checking per-event
-    /// invariants as they stream past.
-    fn collect(&mut self) -> Result<(), String> {
-        for event in self.engine.drain_pending() {
-            let log = self.logs.entry(event.session).or_default();
-            encode_event(log, &event, ShardScope::Exclude);
-            self.check_invariants(&event)?;
-            self.all_events.push(event);
-        }
-        Ok(())
-    }
-
-    fn log_refusal(&mut self, session: SessionId, error: &FleetError) {
-        let log = self.logs.entry(session).or_default();
-        log.push(0xFF);
-        log.extend_from_slice(error.to_string().as_bytes());
-    }
-
-    /// Invariants every event must satisfy regardless of interleaving:
-    /// checkpoint blobs parse and their quarantine/progress counters
-    /// never run backwards; evaluation accuracies stay in [0, 100].
-    fn check_invariants(&mut self, event: &SessionEvent) -> Result<(), String> {
-        match &event.kind {
-            SessionEventKind::Checkpointed(blob) => {
-                let ck = SessionCheckpoint::from_bytes(blob).map_err(|e| {
-                    format!("session {}: emitted blob unparsable: {e:?}", event.session)
-                })?;
-                if ck.session != event.session {
-                    return Err(format!(
-                        "blob names session {} but event names {}",
-                        ck.session, event.session
-                    ));
-                }
-                let inputs = ck.counters.trace.inputs;
-                let seen = self.progress.entry(event.session).or_insert(0);
-                if inputs < *seen {
-                    return Err(format!(
-                        "session {}: trace.inputs regressed {} -> {inputs}",
-                        event.session, *seen
-                    ));
-                }
-                *seen = inputs;
-                for (store, stats) in [
-                    ("short-term", &ck.counters.short_term_stats),
-                    ("long-term", &ck.counters.long_term_stats),
-                ] {
-                    if stats.corrupt_evictions > stats.sample_reads + stats.sample_writes {
-                        return Err(format!(
-                            "session {}: {store} quarantined more samples than it ever touched",
-                            event.session
-                        ));
-                    }
-                }
-            }
-            SessionEventKind::Evaluated(report) => {
-                let all = std::iter::once(report.acc_all)
-                    .chain(report.per_domain.iter().copied())
-                    .chain(report.per_class.iter().copied());
-                for acc in all {
-                    if !(0.0..=100.0).contains(&acc) {
-                        return Err(format!(
-                            "session {}: accuracy {acc} outside [0, 100]",
-                            event.session
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Final `CHAMFLT1` blob of every created session, in id order.
-    fn final_blobs(&mut self) -> Result<Vec<(SessionId, Vec<u8>)>, String> {
-        let mut ids: Vec<SessionId> = (0..script::SESSION_POOL)
-            .filter(|&id| self.engine.known(id))
-            .collect();
-        ids.sort_unstable();
-        let mut blobs = Vec::with_capacity(ids.len());
-        for id in ids {
-            self.engine
-                .command_blocking(id, SessionCommand::Checkpoint)
-                .map_err(|e| format!("final checkpoint refused: {e}"))?;
-            let events = self.engine.drain_pending();
-            let blob = events
-                .into_iter()
-                .find_map(|e| match e.kind {
-                    SessionEventKind::Checkpointed(blob) => Some(blob),
-                    _ => None,
-                })
-                .ok_or_else(|| format!("session {id}: final checkpoint produced no blob"))?;
-            blobs.push((id, blob));
-        }
-        Ok(blobs)
+    /// Applies one probed op, checking per-event invariants as the
+    /// events stream past.
+    fn apply(&mut self, seed: u64, op: &Op) -> Result<(), String> {
+        let Self {
+            engine,
+            logs,
+            all_events,
+            progress,
+            precision,
+        } = self;
+        run::apply_probed(engine, seed, op, *precision, logs, |event| {
+            check_invariants(progress, &event)?;
+            all_events.push(event);
+            Ok(())
+        })
     }
 
     /// Residency conservation: every created session is accounted for as
@@ -238,6 +121,63 @@ impl SimRun {
         }
         Ok(())
     }
+}
+
+/// Invariants every event must satisfy regardless of interleaving:
+/// checkpoint blobs parse and their quarantine/progress counters never
+/// run backwards; evaluation accuracies stay in [0, 100].
+fn check_invariants(
+    progress: &mut HashMap<SessionId, u64>,
+    event: &SessionEvent,
+) -> Result<(), String> {
+    match &event.kind {
+        SessionEventKind::Checkpointed(blob) => {
+            let ck = SessionCheckpoint::from_bytes(blob).map_err(|e| {
+                format!("session {}: emitted blob unparsable: {e:?}", event.session)
+            })?;
+            if ck.session != event.session {
+                return Err(format!(
+                    "blob names session {} but event names {}",
+                    ck.session, event.session
+                ));
+            }
+            let inputs = ck.counters.trace.inputs;
+            let seen = progress.entry(event.session).or_insert(0);
+            if inputs < *seen {
+                return Err(format!(
+                    "session {}: trace.inputs regressed {} -> {inputs}",
+                    event.session, *seen
+                ));
+            }
+            *seen = inputs;
+            for (store, stats) in [
+                ("short-term", &ck.counters.short_term_stats),
+                ("long-term", &ck.counters.long_term_stats),
+            ] {
+                if stats.corrupt_evictions > stats.sample_reads + stats.sample_writes {
+                    return Err(format!(
+                        "session {}: {store} quarantined more samples than it ever touched",
+                        event.session
+                    ));
+                }
+            }
+        }
+        SessionEventKind::Evaluated(report) => {
+            let all = std::iter::once(report.acc_all)
+                .chain(report.per_domain.iter().copied())
+                .chain(report.per_class.iter().copied());
+            for acc in all {
+                if !(0.0..=100.0).contains(&acc) {
+                    return Err(format!(
+                        "session {}: accuracy {acc} outside [0, 100]",
+                        event.session
+                    ));
+                }
+            }
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 /// Runs the full shard-count-invariance + replay-determinism check for
@@ -266,38 +206,18 @@ pub fn check_seed_at(
     precision: Precision,
 ) -> Result<SeedOutcome, String> {
     let ops = script::generate(seed);
-    let faults = script::fault_plan(seed);
     let shards = 2 + (splitmix64(seed ^ 0x5A4D) % 3) as usize;
-    let config = |num_shards: usize| FleetConfig {
-        num_shards,
-        queue_depth: 4,
-        budget_bytes: u64::MAX,
-        assignment_seed: splitmix64(seed ^ 0xA551),
-        faults,
-    };
-    let mut solo = SimRun::new(Arc::clone(scenario), config(1), seed, precision);
-    let mut multi = SimRun::new(
-        Arc::clone(scenario),
-        config(shards),
-        splitmix64(seed ^ 0xB0B),
-        precision,
-    );
-    let mut replay = SimRun::new(
-        Arc::clone(scenario),
-        config(shards),
-        splitmix64(seed ^ 0xB0B),
-        precision,
-    );
+    let mut solo = SimRun::new(scenario, seed, 1, seed, precision);
+    let mut multi = SimRun::new(scenario, seed, shards, splitmix64(seed ^ 0xB0B), precision);
+    let mut replay = SimRun::new(scenario, seed, shards, splitmix64(seed ^ 0xB0B), precision);
 
     for (index, op) in ops.iter().enumerate() {
         let fail = |run: &str, e: String| format!("seed {seed} op {index} ({op:?}) [{run}]: {e}");
-        solo.apply(seed, op, true).map_err(|e| fail("1-shard", e))?;
+        solo.apply(seed, op).map_err(|e| fail("1-shard", e))?;
         multi
-            .apply(seed, op, true)
+            .apply(seed, op)
             .map_err(|e| fail(format!("{shards}-shard").as_str(), e))?;
-        replay
-            .apply(seed, op, true)
-            .map_err(|e| fail("replay", e))?;
+        replay.apply(seed, op).map_err(|e| fail("replay", e))?;
         // Shard-count invariance after this prefix: the touched
         // session's entire observable history (events + probed
         // checkpoint bytes) must be identical at 1 and K shards.
@@ -333,12 +253,9 @@ pub fn check_seed_at(
              ({event_digest:#010x} vs {replay_digest:#010x})"
         ));
     }
-    let blobs = multi
-        .final_blobs()
-        .map_err(|e| format!("seed {seed}: {e}"))?;
-    let replay_blobs = replay
-        .final_blobs()
-        .map_err(|e| format!("seed {seed} [replay]: {e}"))?;
+    let blobs = run::final_blobs(&mut multi.engine).map_err(|e| format!("seed {seed}: {e}"))?;
+    let replay_blobs =
+        run::final_blobs(&mut replay.engine).map_err(|e| format!("seed {seed} [replay]: {e}"))?;
     if blobs != replay_blobs {
         return Err(format!(
             "seed {seed}: same-seed replay produced different final checkpoint bytes"
@@ -356,20 +273,15 @@ pub fn check_seed_at(
         ));
     }
 
-    let mut concat = Vec::new();
-    for (id, blob) in &blobs {
-        concat.extend_from_slice(&id.to_le_bytes());
-        concat.extend_from_slice(blob);
-    }
     let events = (solo.all_events.len() + multi.all_events.len() + replay.all_events.len()) as u64;
     Ok(SeedOutcome {
         seed,
         ops: ops.len(),
         shards,
-        faulted: faults.is_some(),
+        faulted: script::fault_plan(seed).is_some(),
         events,
         event_digest,
-        checkpoint_crc: crc32(&concat),
+        checkpoint_crc: run::digest(&blobs),
         span_digest,
     })
 }

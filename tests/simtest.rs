@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use chameleon_simtest::{check_seed, derive_corpus, diff, golden, parse, soak, SoakConfig};
+use chameleon_simtest::{check_seed, derive_corpus, diff, golden, parse, sweep, Schedule};
 
 /// Seeds the in-test sweep covers. The CI soak job drives 200+ seeds
 /// through the release binary (`chameleon simtest --seeds 200`); here a
@@ -26,13 +26,9 @@ fn committed_golden_dir() -> PathBuf {
 #[test]
 fn a_seed_range_holds_the_simulation_invariants() {
     let scenario = golden::golden_scenario();
-    let config = SoakConfig {
-        start_seed: 0,
-        seeds: seeds_to_sweep(),
-        budget: None,
-    };
-    let report = soak::run(&scenario, &config, |_, _| {});
-    assert_eq!(report.checked, config.seeds);
+    let seeds = seeds_to_sweep();
+    let report = sweep(&scenario, Schedule::Lifecycle, 0, seeds, None);
+    assert_eq!(report.checked, seeds);
     assert!(
         report.all_passed(),
         "seeds violated invariants: {:#?}",
