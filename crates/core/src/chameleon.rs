@@ -448,9 +448,24 @@ impl Chameleon {
     /// ("iterative mini-batch concatenation", §IV-A). Returns the logits of
     /// the incoming samples for the Eq. 3 uncertainty scores.
     fn train_step(&mut self, incoming: &Matrix, labels: &[usize], lt_due: bool) -> Matrix {
-        let n_in = labels.len();
-        let mut rows: Vec<Vec<f32>> = incoming.iter_rows().map(<[f32]>::to_vec).collect();
-        let mut all_labels = labels.to_vec();
+        let (n_in, dim) = (labels.len(), incoming.cols());
+        let lt_batch = if lt_due {
+            self.config.long_term_batch
+        } else {
+            0
+        };
+        let capacity = n_in + self.short_term.len() + lt_batch;
+        // Z_t ∪ M_s ∪ m̂_l is gathered straight into the step matrix's
+        // row-major storage.
+        let mut data = Vec::with_capacity(capacity * dim);
+        let mut all_labels = Vec::with_capacity(capacity);
+        data.extend_from_slice(incoming.as_slice());
+        all_labels.extend_from_slice(labels);
+        let mut push = |s: &StoredSample| {
+            assert_eq!(s.dim(), dim, "latent rows share dimensionality");
+            data.extend_from_slice(&s.features);
+            all_labels.push(s.label);
+        };
 
         // Full short-term sweep (on-chip reads), quarantining corrupted
         // slots first when enabled.
@@ -460,17 +475,17 @@ impl Chameleon {
             self.short_term.read_all()
         };
         self.trace.onchip_sample_reads += st_items.len() as u64;
-        for s in st_items {
-            rows.push(s.features.clone());
-            all_labels.push(s.label);
-        }
+        st_items.iter().for_each(&mut push);
 
         // Periodic long-term access (off-chip reads). A quarantine sweep
         // precedes the draw; if it reveals catastrophic corruption, the
-        // store is rebuilt from the just-verified short-term data.
+        // store is rebuilt from the just-verified short-term data. The
+        // sweep is one CRC pass: the integrity fraction before the purge
+        // is the share of samples it kept.
         if lt_due && self.config.quarantine && !self.long_term.is_empty() {
-            let integrity = self.long_term.integrity_fraction();
+            let len = self.long_term.len();
             let evicted = self.long_term.purge_corrupt();
+            let integrity = (len - evicted) as f64 / len as f64;
             if evicted > 0 && integrity < f64::from(self.config.rebuild_integrity_floor) {
                 self.rebuild_long_term_from_short_term();
             }
@@ -480,14 +495,10 @@ impl Chameleon {
                 .long_term
                 .sample_batch(self.config.long_term_batch, &mut self.rng);
             self.trace.offchip_latent_reads += lt.len() as u64;
-            for s in lt {
-                rows.push(s.features.clone());
-                all_labels.push(s.label);
-            }
+            lt.into_iter().for_each(&mut push);
         }
 
-        let x = Matrix::try_from_row_iter(rows.iter().map(Vec::as_slice))
-            .expect("latent rows share dimensionality");
+        let x = Matrix::from_vec(all_labels.len(), dim, data);
         let fwd = self.head.forward(&x);
         let (_, dlogits) = loss::softmax_cross_entropy(fwd.logits(), &all_labels);
         let grads = self.head.backward(&fwd, &dlogits);
@@ -495,11 +506,9 @@ impl Chameleon {
         self.trace.head_fwd_passes += all_labels.len() as u64;
         self.trace.head_bwd_passes += all_labels.len() as u64;
 
-        let mut out = Matrix::zeros(n_in, fwd.logits().cols());
-        for r in 0..n_in {
-            out.row_mut(r).copy_from_slice(fwd.logits().row(r));
-        }
-        out
+        let logits = fwd.logits();
+        let incoming_logits = logits.as_slice()[..n_in * logits.cols()].to_vec();
+        Matrix::from_vec(n_in, logits.cols(), incoming_logits)
     }
 
     /// Step 5: promote the best short-term sample into the long-term store
@@ -508,32 +517,40 @@ impl Chameleon {
         if self.short_term.is_empty() {
             return;
         }
-        let candidates = self.short_term.items().to_vec();
         let chosen = match self.lt_policy {
-            LongTermPolicy::Random => self.rng.below(candidates.len()),
-            LongTermPolicy::PrototypeKl => {
-                // Greedy argmax of Eq. 6. The ordering uses the raw KL
-                // value: tanh is monotone, but it saturates in f32 well
-                // before the KL does, which would reduce the argmax to
-                // arbitrary tie-breaking among all strongly-contrastive
-                // candidates.
-                let mut best = 0usize;
-                let mut best_score = f32::NEG_INFINITY;
-                for (j, s) in candidates.iter().enumerate() {
-                    // No prototype yet for this class: treat as maximally
-                    // informative so new classes reach the LT store fast.
-                    let score = self.prototype_kl_raw(s).unwrap_or(f32::MAX);
-                    if score > best_score {
-                        best_score = score;
-                        best = j;
-                    }
-                }
-                best
-            }
+            LongTermPolicy::Random => self.rng.below(self.short_term.len()),
+            LongTermPolicy::PrototypeKl => self
+                .prototype_kl_pick()
+                .expect("the short-term store is non-empty"),
         };
-        let sample = candidates[chosen].clone();
+        let sample = self.short_term.items()[chosen].clone();
         self.long_term.insert(sample, &mut self.rng);
         self.trace.offchip_latent_writes += 1;
+    }
+
+    /// Index into the short-term store of the sample Eq. 6 promotes next:
+    /// the greedy argmax of the prototype-KL score, first wins on ties;
+    /// `None` when the store is empty. The ordering uses the raw KL value:
+    /// tanh is monotone, but it saturates in f32 well before the KL does,
+    /// which would reduce the argmax to arbitrary tie-breaking among all
+    /// strongly-contrastive candidates. A candidate whose class has no
+    /// prototype yet scores `f32::MAX` — maximally informative, so new
+    /// classes reach the long-term store fast.
+    pub fn prototype_kl_pick(&self) -> Option<usize> {
+        if self.short_term.is_empty() {
+            return None;
+        }
+        let mut best = 0;
+        let mut best_score = f32::NEG_INFINITY;
+        let scores = self.prototype_kl_raw(self.short_term.items());
+        for (j, score) in scores.into_iter().enumerate() {
+            let score = score.unwrap_or(f32::MAX);
+            if score > best_score {
+                best_score = score;
+                best = j;
+            }
+        }
+        Some(best)
     }
 
     /// Reseeds a catastrophically corrupted long-term store from the
@@ -542,32 +559,66 @@ impl Chameleon {
     /// rebuild: subsequent Eq. 5/6 selections score against trusted data
     /// again instead of a nearly-empty survivor set.
     fn rebuild_long_term_from_short_term(&mut self) {
-        let survivors = self.short_term.items().to_vec();
-        for s in survivors {
+        for s in self.short_term.items() {
             if s.integrity_ok() {
-                self.long_term.insert(s, &mut self.rng);
+                self.long_term.insert(s.clone(), &mut self.rng);
                 self.trace.offchip_latent_writes += 1;
             }
         }
         self.prototype_rebuilds += 1;
     }
 
-    /// Raw `KL(p(y|st_j) ‖ p(y|P_c))` underlying Eq. 6; `None` when the
-    /// class has no long-term prototype yet.
-    fn prototype_kl_raw(&self, sample: &StoredSample) -> Option<f32> {
-        let proto = self.class_prototype(sample.label)?;
-        let x = Matrix::try_from_row_iter([sample.features.as_slice(), proto.as_slice()])
+    /// Raw `KL(p(y|st_j) ‖ p(y|P_c))` underlying Eq. 6 for every candidate,
+    /// `None` where the class has no long-term prototype yet. Each distinct
+    /// class prototype is computed once, and all (candidate, prototype)
+    /// rows go through one head forward; rows are independent in the
+    /// forward, so every KL equals that of a lone 2-row forward.
+    fn prototype_kl_raw(&self, candidates: &[StoredSample]) -> Vec<Option<f32>> {
+        let mut classes = Vec::new();
+        let mut protos = Vec::new();
+        let slots: Vec<Option<usize>> = candidates
+            .iter()
+            .map(|s| {
+                if let Some(q) = classes.iter().position(|&c| c == s.label) {
+                    return Some(q);
+                }
+                let proto = self.class_prototype(s.label)?;
+                classes.push(s.label);
+                protos.push(proto);
+                Some(protos.len() - 1)
+            })
+            .collect();
+        if protos.is_empty() {
+            return vec![None; candidates.len()];
+        }
+        let rows = candidates
+            .iter()
+            .zip(&slots)
+            .filter_map(|(s, slot)| slot.map(|_| s.features.as_slice()));
+        let scored = slots.iter().flatten().count();
+        let x = Matrix::try_from_row_iter(rows.chain(protos.iter().map(Vec::as_slice)))
             .expect("equal latent dims");
         let logits = self.head.logits(&x);
-        let p_sample = ops::softmax(logits.row(0));
-        let p_proto = ops::softmax(logits.row(1));
-        Some(ops::kl_divergence(&p_sample, &p_proto))
+        let p_protos: Vec<Vec<f32>> = (0..protos.len())
+            .map(|q| ops::softmax(logits.row(scored + q)))
+            .collect();
+        let mut row = 0;
+        slots
+            .into_iter()
+            .map(|slot| {
+                let q = slot?;
+                let p_sample = ops::softmax(logits.row(row));
+                row += 1;
+                Some(ops::kl_divergence(&p_sample, &p_protos[q]))
+            })
+            .collect()
     }
 
     /// `S_j = tanh(KL(p(y|st_j) ‖ p(y|P_c)))` (Eq. 6); `None` when the
     /// class has no long-term prototype yet.
     pub fn prototype_kl_score(&self, sample: &StoredSample) -> Option<f32> {
-        Some(self.prototype_kl_raw(sample)?.tanh())
+        let raw = self.prototype_kl_raw(std::slice::from_ref(sample))[0]?;
+        Some(raw.tanh())
     }
 
     /// Serializes the learner's persistent state (head parameters, both
@@ -1144,6 +1195,70 @@ mod tests {
         let r = c.resilience();
         assert_eq!(r.long_term_evictions, 1, "{r:?}");
         assert_eq!(r.prototype_rebuilds, 0, "{r:?}");
+    }
+
+    /// Fills a 4-slot long-term store, corrupts `corrupted` of its
+    /// residents, and runs one more domain through the periodic sweep.
+    fn sweep_after_corrupting(corrupted: usize) -> (Chameleon, f64) {
+        let (scenario, model) = setup();
+        let config = ChameleonConfig {
+            long_term_capacity: 4,
+            ..ChameleonConfig::default()
+        };
+        let mut c = Chameleon::new(&model, config, 15);
+        run_domains(&mut c, &scenario, 1);
+        assert_eq!(c.long_term_len(), 4);
+        let mut hit = 0;
+        c.visit_stores(&mut |p, s| {
+            if p == StorePlacement::OffChipDram && hit < corrupted {
+                s.features[0] += 1.0e3;
+                hit += 1;
+            }
+        });
+        let integrity = c.resilience().long_term_integrity;
+        run_domains(&mut c, &scenario, 1);
+        (c, integrity)
+    }
+
+    #[test]
+    fn integrity_exactly_at_the_floor_purges_without_rebuild() {
+        // 2 of 4 corrupted: integrity is exactly the 0.5 floor, and the
+        // rebuild rule is strict `<`.
+        let (c, integrity) = sweep_after_corrupting(2);
+        assert_eq!(integrity, 0.5);
+        let r = c.resilience();
+        assert_eq!(r.long_term_evictions, 2, "{r:?}");
+        assert_eq!(r.prototype_rebuilds, 0, "{r:?}");
+    }
+
+    #[test]
+    fn integrity_below_the_floor_rebuilds() {
+        let (c, integrity) = sweep_after_corrupting(3);
+        assert_eq!(integrity, 0.25);
+        let r = c.resilience();
+        assert_eq!(r.long_term_evictions, 3, "{r:?}");
+        assert_eq!(r.prototype_rebuilds, 1, "{r:?}");
+    }
+
+    #[test]
+    fn batched_prototype_kl_equals_one_forward_per_candidate() {
+        let (scenario, model) = setup();
+        let config = ChameleonConfig {
+            long_term_capacity: 3,
+            ..ChameleonConfig::default()
+        };
+        let mut c = Chameleon::new(&model, config, 16);
+        run_domains(&mut c, &scenario, 2);
+        let candidates = c.short_term.items();
+        let batched = c.prototype_kl_raw(candidates);
+        let lone: Vec<Option<f32>> = candidates
+            .iter()
+            .map(|s| c.prototype_kl_raw(std::slice::from_ref(s))[0])
+            .collect();
+        assert!(batched.iter().any(Option::is_none), "{batched:?}");
+        assert!(batched.iter().any(Option::is_some), "{batched:?}");
+        let bits = |v: &[Option<f32>]| v.iter().map(|x| x.map(f32::to_bits)).collect::<Vec<_>>();
+        assert_eq!(bits(&batched), bits(&lone));
     }
 
     #[test]

@@ -127,11 +127,11 @@ impl ClassBalancedBuffer {
     }
 
     /// Draws up to `k` samples uniformly at random across the whole buffer.
-    pub fn sample_batch(&mut self, k: usize, rng: &mut Prng) -> Vec<StoredSample> {
+    pub fn sample_batch(&mut self, k: usize, rng: &mut Prng) -> Vec<&StoredSample> {
         let flat: Vec<&StoredSample> = self.by_class.values().flatten().collect();
         let idx = rng.sample_without_replacement(flat.len(), k);
         self.stats.sample_reads += idx.len() as u64;
-        idx.into_iter().map(|i| flat[i].clone()).collect()
+        idx.into_iter().map(|i| flat[i]).collect()
     }
 
     /// Removes every sample failing its integrity check, returning how many

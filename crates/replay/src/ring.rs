@@ -74,10 +74,11 @@ impl RingBuffer {
     }
 
     /// Reads the entire buffer contents (Chameleon sweeps the whole
-    /// short-term store for every new sample).
-    pub fn read_all(&mut self) -> Vec<StoredSample> {
+    /// short-term store for every new sample), counting one read per
+    /// sample.
+    pub fn read_all(&mut self) -> &[StoredSample] {
         self.stats.sample_reads += self.items.len() as u64;
-        self.items.clone()
+        &self.items
     }
 
     /// Reads the buffer like [`RingBuffer::read_all`], but first evicts
@@ -85,7 +86,7 @@ impl RingBuffer {
     /// (memory-upset quarantine). Evictions are counted in
     /// [`AccessStats::corrupt_evictions`]; only surviving samples count as
     /// reads.
-    pub fn read_all_verified(&mut self) -> Vec<StoredSample> {
+    pub fn read_all_verified(&mut self) -> &[StoredSample] {
         self.purge_corrupt();
         self.read_all()
     }
@@ -221,9 +222,9 @@ mod tests {
         }
         let survivors = b.read_all_verified();
         assert_eq!(survivors.len(), 2);
+        assert!(survivors.iter().all(|s| s.integrity_ok()));
         assert_eq!(b.len(), 2);
         assert_eq!(b.stats().corrupt_evictions, 1);
-        assert!(survivors.iter().all(|s| s.integrity_ok()));
     }
 
     #[test]

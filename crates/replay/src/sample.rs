@@ -189,17 +189,13 @@ impl StoredSample {
         let mut h = Crc32::new();
         h.update(&(self.label as u64).to_le_bytes());
         h.update(&(self.features.len() as u64).to_le_bytes());
-        for &v in &self.features {
-            h.update(&v.to_bits().to_le_bytes());
-        }
+        h.update_f32s(&self.features);
         for payload in [&self.logits, &self.gradient] {
             match payload {
                 Some(values) => {
                     h.update(&[1]);
                     h.update(&(values.len() as u64).to_le_bytes());
-                    for &v in values {
-                        h.update(&v.to_bits().to_le_bytes());
-                    }
+                    h.update_f32s(values);
                 }
                 None => h.update(&[0]),
             }

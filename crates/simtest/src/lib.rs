@@ -37,7 +37,7 @@
 //!     migrations (the `chameleon-balance` primitive) injected at seeded
 //!     op boundaries, proven observably identical to local evictions at
 //!     the same boundaries;
-//! - [`sweep`] — the one budgeted seed-sweep driver for every schedule,
+//! - [`sweep`](mod@sweep) — the one budgeted seed sweep that runs every schedule,
 //!   with each schedule's replay line, summary line and repro command;
 //! - [`golden`] — the committed conformance corpus that pins wire
 //!   frames, checkpoint bytes, and metric digests against silent format

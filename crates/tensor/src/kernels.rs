@@ -1,12 +1,12 @@
 //! Chunked, autovectorizable hot-path kernels.
 //!
 //! The scalar [`Matrix::matmul_nt`] computes each output element with a
-//! single sequential `mul → add` chain, so the compiler cannot issue
-//! more than one fused multiply-add per cycle without changing the
-//! rounding order. The kernels here restructure the same reductions
-//! into `LANES` *independent* accumulator streams over `chunks_exact`
-//! blocks — exactly the shape LLVM's loop vectorizer turns into packed
-//! SIMD adds — with a scalar pass over the ragged tail.
+//! single sequential `mul → add` chain; it overlaps the chains of
+//! different outputs, but no chain can be split into packed SIMD lanes
+//! without changing its rounding order. The kernels here restructure
+//! the same reductions into `LANES` *independent* accumulator streams
+//! over `chunks_exact` blocks — exactly the shape LLVM's loop vectorizer
+//! turns into packed SIMD adds — with a scalar pass over the ragged tail.
 //!
 //! # Numeric contract
 //!

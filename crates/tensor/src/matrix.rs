@@ -248,6 +248,13 @@ impl Matrix {
 
     /// Matrix product `self · rhsᵀ` without materializing the transpose.
     ///
+    /// Every output element is one sequential `mul → add` chain over `k`
+    /// in order, seeded with `-0.0` — exactly `Iterator::<f32>::sum` of
+    /// the products. Four columns of two rows are computed together, each
+    /// output in its own accumulator, so eight independent chains overlap
+    /// in the pipeline without reassociating any of them: the result is
+    /// bit-identical to the one-dot-at-a-time loop.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
@@ -257,16 +264,11 @@ impl Matrix {
             "matmul_nt shape mismatch: ({}x{}) · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Self::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let dot: f32 = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
-                out.data[i * rhs.rows + j] = dot;
-            }
+        Self {
+            rows: self.rows,
+            cols: rhs.rows,
+            data: matmul_nt_rows(&self.data, &rhs.data, self.cols),
         }
-        out
     }
 
     /// In-place `self += alpha * rhs`.
@@ -356,6 +358,51 @@ impl Matrix {
             data,
         })
     }
+}
+
+/// Row-major `a · bᵀ` for `a` and `b` with `k` columns (`k > 0`), in
+/// register blocks of two rows of `a` by four rows of `b`: eight
+/// independent accumulators, each a sequential chain over `k` seeded with
+/// `-0.0`. An odd last row of `a` is paired with itself; leftover rows of
+/// `b` take the plain one-dot-at-a-time `sum`.
+fn matmul_nt_rows(a: &[f32], b: &[f32], k: usize) -> Vec<f32> {
+    let n = b.len() / k;
+    let mut out = vec![0.0f32; a.len() / k * n];
+    for (a_pair, out_pair) in a.chunks(2 * k).zip(out.chunks_mut(2 * n)) {
+        let (a0, a1) = if a_pair.len() == 2 * k {
+            a_pair.split_at(k)
+        } else {
+            (a_pair, a_pair)
+        };
+        let mut blocks = b.chunks_exact(4 * k);
+        let mut j = 0;
+        for block in &mut blocks {
+            let (b0, rest) = block.split_at(k);
+            let (b1, rest) = rest.split_at(k);
+            let (b2, b3) = rest.split_at(k);
+            let mut acc = [[-0.0f32; 4]; 2];
+            let rows = a0.iter().zip(a1).zip(b0).zip(b1).zip(b2).zip(b3);
+            for (((((&x0, &x1), &y0), &y1), &y2), &y3) in rows {
+                for (acc, x) in acc.iter_mut().zip([x0, x1]) {
+                    acc[0] += x * y0;
+                    acc[1] += x * y1;
+                    acc[2] += x * y2;
+                    acc[3] += x * y3;
+                }
+            }
+            for (out_row, acc) in out_pair.chunks_exact_mut(n).zip(&acc) {
+                out_row[j..j + 4].copy_from_slice(acc);
+            }
+            j += 4;
+        }
+        for b_row in blocks.remainder().chunks_exact(k) {
+            for (out_row, a_row) in out_pair.chunks_exact_mut(n).zip([a0, a1]) {
+                out_row[j] = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum::<f32>();
+            }
+            j += 1;
+        }
+    }
+    out
 }
 
 impl std::fmt::Display for Matrix {

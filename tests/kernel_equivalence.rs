@@ -19,7 +19,9 @@
 
 use chameleon_core::{Chameleon, ChameleonConfig, ModelConfig, Strategy, Trainer};
 use chameleon_nn::{Kernel, Linear};
-use chameleon_replay::{decode_latent, decode_latent_into, encode_latent, Precision};
+use chameleon_replay::{
+    decode_latent, decode_latent_into, encode_latent, Precision, StorePlacement, StoredSample,
+};
 use chameleon_stream::{DatasetSpec, DomainIlScenario, StreamConfig};
 use chameleon_tensor::kernels::{dot_chunked, matmul_nt_chunked, softmax_chunked, LANES};
 use chameleon_tensor::{ops, Matrix, Prng};
@@ -169,6 +171,159 @@ fn matmul_nt_chunked_matches_scalar_across_ragged_shapes() {
                 );
             }
         }
+    }
+}
+
+/// `a · bᵀ` one dot at a time: the `iter().zip().map().sum()` chain the
+/// blocked scalar `Matrix::matmul_nt` must reproduce bit for bit.
+fn matmul_nt_reference(a: &Matrix, b: &Matrix) -> Vec<f32> {
+    a.iter_rows()
+        .flat_map(|x| {
+            b.iter_rows()
+                .map(move |y| x.iter().zip(y).map(|(p, q)| p * q).sum::<f32>())
+        })
+        .collect()
+}
+
+/// Bit equality, except that any NaN matches any NaN: Rust leaves the
+/// payload of a NaN produced by arithmetic unspecified.
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+#[test]
+fn blocked_matmul_nt_is_bit_identical_to_one_dot_at_a_time() {
+    // A `Matrix` has no zero dimension, so the sweep starts at one rhs row
+    // and one column; 1–9 rhs rows cover zero, one and two 4-wide blocks
+    // with every ragged rest, and 1–3 lhs rows cover the odd-row pairing.
+    let mut rng = Prng::new(404);
+    for cols in [1, 3, 64, 65] {
+        for lhs_rows in 1..=3 {
+            for rhs_rows in 1..=9 {
+                let a =
+                    Matrix::from_vec(lhs_rows, cols, fill(&mut rng, lhs_rows * cols, -1.0, 1.0));
+                let b =
+                    Matrix::from_vec(rhs_rows, cols, fill(&mut rng, rhs_rows * cols, -1.0, 1.0));
+                let blocked = a.matmul_nt(&b);
+                assert_eq!((blocked.rows(), blocked.cols()), (lhs_rows, rhs_rows));
+                let reference = matmul_nt_reference(&a, &b);
+                for (i, (&x, &y)) in blocked.as_slice().iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{lhs_rows}x{cols}x{rhs_rows} [{i}]: {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    // Every product is -0.0, so only the -0.0 seed of `sum` keeps the sign.
+    for cols in [1, 3, 64, 65] {
+        let a = Matrix::filled(3, cols, -0.0);
+        let b = Matrix::filled(9, cols, 2.0);
+        let blocked = a.matmul_nt(&b);
+        assert!(blocked
+            .as_slice()
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert_eq!(blocked.as_slice(), matmul_nt_reference(&a, &b).as_slice());
+    }
+
+    // Infinities and NaNs flow through each chain exactly as they do
+    // through the reference (inf·0 = NaN, inf − inf = NaN, ±inf survive).
+    let specials = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        0.0,
+        -0.0,
+        1.0,
+        -3.5,
+    ];
+    for cols in [1, 3, 64, 65] {
+        let pick = |rng: &mut Prng, n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| specials[rng.below(specials.len())])
+                .collect()
+        };
+        let a = Matrix::from_vec(3, cols, pick(&mut rng, 3 * cols));
+        let b = Matrix::from_vec(9, cols, pick(&mut rng, 9 * cols));
+        let blocked = a.matmul_nt(&b);
+        for (i, (&x, &y)) in blocked
+            .as_slice()
+            .iter()
+            .zip(&matmul_nt_reference(&a, &b))
+            .enumerate()
+        {
+            assert!(same_bits(x, y), "cols {cols} [{i}]: {x} vs {y}");
+        }
+    }
+}
+
+/// The short-term candidates of a learner, in store order.
+fn short_term_of(learner: &mut Chameleon) -> Vec<StoredSample> {
+    let mut out = Vec::new();
+    learner.visit_stores(&mut |placement, sample| {
+        if placement == StorePlacement::OnChipSram {
+            out.push(sample.clone());
+        }
+    });
+    out
+}
+
+#[test]
+fn batched_eq6_pick_equals_argmax_of_per_candidate_scores() {
+    let spec = DatasetSpec::core50_tiny();
+    let scenario = DomainIlScenario::generate(&spec, 6);
+    let model = ModelConfig::for_spec(&spec);
+    let stream = StreamConfig::default();
+    // A 3-slot long-term store holds at most three classes, so some
+    // short-term candidates have no prototype; a 60-slot one holds them all.
+    for (long_term_capacity, expect_unprototyped) in [(3, true), (60, false)] {
+        let config = ChameleonConfig {
+            long_term_capacity,
+            ..ChameleonConfig::default()
+        };
+        let mut learner = Chameleon::new(&model, config, 21);
+        for domain in 0..2 {
+            for batch in scenario.domain_stream(domain, &stream, 40 + domain as u64) {
+                learner.observe(&batch);
+            }
+        }
+        let candidates = short_term_of(&mut learner);
+        let scores: Vec<Option<f32>> = candidates
+            .iter()
+            .map(|s| learner.prototype_kl_score(s))
+            .collect();
+        assert_eq!(
+            scores.iter().any(Option::is_none),
+            expect_unprototyped,
+            "Ml={long_term_capacity}: scores {scores:?}"
+        );
+        assert!(scores.iter().any(Option::is_some), "{scores:?}");
+        // Argmax over the per-candidate scores: a class with no prototype
+        // scores f32::MAX, strict `>` keeps the first of equal scores.
+        let mut want = 0;
+        let mut best = f32::NEG_INFINITY;
+        for (j, score) in scores.iter().enumerate() {
+            let score = score.unwrap_or(f32::MAX);
+            if score > best {
+                (want, best) = (j, score);
+            }
+        }
+        // tanh is only non-decreasing, so the comparison means something
+        // only while the winning score is not tied under it.
+        let ties = scores
+            .iter()
+            .filter(|s| s.unwrap_or(f32::MAX) == best)
+            .count();
+        assert!(best == f32::MAX || ties == 1, "tied winners: {scores:?}");
+        assert_eq!(
+            learner.prototype_kl_pick(),
+            Some(want),
+            "Ml={long_term_capacity}: scores {scores:?}"
+        );
     }
 }
 
