@@ -272,7 +272,20 @@ impl Chameleon {
         seed: u64,
     ) -> Self {
         config.assert_valid();
-        let mut head = model.build_head(seed);
+        let head = model.build_head(seed);
+        Self::with_head(model, config, st_policy, lt_policy, seed, head)
+    }
+
+    /// Assembles a learner around an already-built head; `seed` seeds the
+    /// learner's own sampling RNG exactly as [`Self::with_policies`] does.
+    fn with_head(
+        model: &ModelConfig,
+        config: ChameleonConfig,
+        st_policy: ShortTermPolicy,
+        lt_policy: LongTermPolicy,
+        seed: u64,
+        mut head: MlpHead,
+    ) -> Self {
         if config.precision != Precision::F32 {
             // The chunked kernels reassociate float reductions, so they
             // ride with the quantized modes where every run being
@@ -300,6 +313,12 @@ impl Chameleon {
             trace: StepTrace::new(),
             prototype_rebuilds: 0,
         }
+    }
+
+    /// The frozen extractor `f_θ`. Learners of one model shape share its
+    /// weights (see [`ModelConfig::build_extractor`]).
+    pub fn extractor(&self) -> &FrozenExtractor {
+        &self.extractor
     }
 
     /// Nominal replay-store footprint in MB if the latents were stored
@@ -687,7 +706,7 @@ impl Chameleon {
         let (payload, version) = ck::open(&blob)?;
         let mut r = payload;
         let precision = config.precision;
-        let mut learner = Self::new(model, config, seed);
+        config.assert_valid();
 
         let packed = match version {
             ck::Version::V2 => false,
@@ -712,15 +731,24 @@ impl Chameleon {
             }
         };
 
+        // The head is built straight from its stored parameters: a random
+        // init would only be overwritten.
         let params = ck::read_f32_vec(&mut r)?;
-        if params.len() != learner.head.parameter_count() {
-            return Err(E::ShapeMismatch {
+        let head = model
+            .build_head_from_parameters(&params)
+            .ok_or_else(|| E::ShapeMismatch {
                 what: "head parameters",
                 found: params.len(),
-                expected: learner.head.parameter_count(),
-            });
-        }
-        learner.head.set_parameters(&params);
+                expected: model.head_parameter_count(),
+            })?;
+        let mut learner = Self::with_head(
+            model,
+            config,
+            ShortTermPolicy::UserAwareUncertainty,
+            LongTermPolicy::PrototypeKl,
+            seed,
+            head,
+        );
 
         let read_section = |r: &mut &[u8]| -> Result<Vec<StoredSample>, E> {
             if packed {

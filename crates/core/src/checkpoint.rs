@@ -87,6 +87,15 @@ pub enum LoadCheckpointError {
     },
     /// A packed (quantized) latent section failed to decode.
     LatentCodec(CodecError),
+    /// A decoded field holds a value no valid writer produces: a
+    /// configuration out of range, or a stream position past the end of
+    /// the scenario.
+    Invalid {
+        /// The offending field.
+        what: &'static str,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
 }
 
 impl std::fmt::Display for LoadCheckpointError {
@@ -111,6 +120,7 @@ impl std::fmt::Display for LoadCheckpointError {
                 "checkpoint {what} has length {found}, model expects {expected}"
             ),
             Self::LatentCodec(e) => write!(f, "checkpoint packed latent: {e}"),
+            Self::Invalid { what, requirement } => write!(f, "checkpoint {what} {requirement}"),
         }
     }
 }

@@ -1,9 +1,15 @@
 //! Shared model configuration for all strategies.
 
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use chameleon_nn::{FrozenExtractor, MlpHead, Sgd};
 use chameleon_stream::shapes::NominalShapes;
 use chameleon_stream::DatasetSpec;
 use chameleon_tensor::Prng;
+
+/// `(raw_dim, extractor_hidden, latent_dim)`: what the frozen extractor's
+/// weights are a function of.
+type ExtractorShape = (usize, Vec<usize>, usize);
 
 /// Architecture and optimizer settings shared by every strategy, mirroring
 /// the paper's experimental setup (§IV-A): MobileNetV1 frozen up to layer
@@ -101,25 +107,63 @@ impl ModelConfig {
         self
     }
 
-    /// Instantiates the frozen extractor. The extractor seed is decoupled
-    /// from the run seed: the "pre-trained" trunk is the same across
-    /// repetitions, as it is in the paper.
+    /// The frozen extractor. The extractor seed is decoupled from the run
+    /// seed: the "pre-trained" trunk is the same across repetitions, as it
+    /// is in the paper. Being a pure function of the dimension chain, it is
+    /// built once per `(raw_dim, extractor_hidden, latent_dim)` in the
+    /// process; every later call returns a clone sharing those weights.
     pub fn build_extractor(&self) -> FrozenExtractor {
-        let mut rng = Prng::new(0xF0_7A_E0);
+        // A handful of shapes live in one process; a linear scan keeps a
+        // hit allocation-free.
+        static BUILT: OnceLock<Mutex<Vec<(ExtractorShape, FrozenExtractor)>>> = OnceLock::new();
+        // Every update is one push of a finished entry, so a list poisoned
+        // by a panicking build is still valid.
+        let mut built = BUILT
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let hit = built.iter().find(|((raw, hidden, latent), _)| {
+            *raw == self.raw_dim && *hidden == self.extractor_hidden && *latent == self.latent_dim
+        });
+        if let Some((_, f)) = hit {
+            return f.clone();
+        }
         let mut dims = Vec::with_capacity(self.extractor_hidden.len() + 2);
         dims.push(self.raw_dim);
         dims.extend_from_slice(&self.extractor_hidden);
         dims.push(self.latent_dim);
-        FrozenExtractor::deep(&dims, &mut rng)
+        let f = FrozenExtractor::deep(&dims, &mut Prng::new(0xF0_7A_E0));
+        let shape = (self.raw_dim, self.extractor_hidden.clone(), self.latent_dim);
+        built.push((shape, f.clone()));
+        f
     }
 
     /// Instantiates a fresh trainable head from a run seed.
     pub fn build_head(&self, seed: u64) -> MlpHead {
+        MlpHead::new(&self.head_dims(), &mut Prng::new(seed ^ 0x4EAD))
+    }
+
+    /// Rebuilds a trainable head from its stored flat parameters — the
+    /// head [`Self::build_head`] would give after `set_parameters`, with no
+    /// random init drawn. `None` when the parameter count does not fit
+    /// this architecture.
+    pub fn build_head_from_parameters(&self, params: &[f32]) -> Option<MlpHead> {
+        let dims = self.head_dims();
+        (params.len() == MlpHead::parameter_count_of(&dims))
+            .then(|| MlpHead::from_parameters(&dims, params))
+    }
+
+    /// Trainable parameter count of the head this configuration builds.
+    pub(crate) fn head_parameter_count(&self) -> usize {
+        MlpHead::parameter_count_of(&self.head_dims())
+    }
+
+    fn head_dims(&self) -> Vec<usize> {
         let mut dims = Vec::with_capacity(self.hidden.len() + 2);
         dims.push(self.latent_dim);
         dims.extend_from_slice(&self.hidden);
         dims.push(self.num_classes);
-        MlpHead::new(&dims, &mut Prng::new(seed ^ 0x4EAD))
+        dims
     }
 
     /// Instantiates the paper's optimizer.
@@ -147,6 +191,30 @@ mod tests {
         let b = m.build_extractor();
         let raw = vec![0.3; m.raw_dim];
         assert_eq!(a.extract(&raw), b.extract(&raw));
+        assert!(a.shares_weights_with(&b));
+    }
+
+    #[test]
+    fn memoised_extractor_equals_a_fresh_draw_per_shape() {
+        let m = ModelConfig::for_spec(&DatasetSpec::core50_tiny()).with_extractor_hidden(vec![48]);
+        let fresh = FrozenExtractor::deep(&[m.raw_dim, 48, m.latent_dim], &mut Prng::new(0xF07AE0));
+        assert_eq!(m.build_extractor(), fresh);
+        let shallow = ModelConfig::for_spec(&DatasetSpec::core50_tiny());
+        assert_eq!(shallow.build_extractor().depth(), 1);
+        assert!(!shallow
+            .build_extractor()
+            .shares_weights_with(&m.build_extractor()));
+    }
+
+    #[test]
+    fn head_from_parameters_matches_build_then_set() {
+        let m = ModelConfig::for_spec(&DatasetSpec::core50_tiny()).with_hidden(vec![16]);
+        let params = m.build_head(3).parameters();
+        assert_eq!(params.len(), m.head_parameter_count());
+        let mut expected = m.build_head(8);
+        expected.set_parameters(&params);
+        assert_eq!(m.build_head_from_parameters(&params), Some(expected));
+        assert_eq!(m.build_head_from_parameters(&params[1..]), None);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   trace, store access/quarantine counters, skipped updates, rebuilds),
 //! * the session's rebuild spec and stream progress (next domain, batches
 //!   delivered into it), from which the stream cursor is reconstructed
-//!   *exactly* by reseeding and replaying,
+//!   *exactly* by reseeding and replaying — unless the shard still holds
+//!   the cursor it evicted, which resumes as is,
 //!
 //! wrapped in its own envelope: `"CHAMFLT1" | payload | CRC32(payload)`.
 //!
@@ -28,9 +29,9 @@ use chameleon_core::{
 };
 use chameleon_faults::FaultPlan;
 use chameleon_replay::{crc32, AccessStats};
-use chameleon_stream::{DomainIlScenario, PreferenceProfile, StreamConfig};
+use chameleon_stream::{DomainIlScenario, PreferenceProfile, StreamConfig, StreamCursor};
 
-use crate::session::{SessionId, SessionSpec, UserSession};
+use crate::session::{SessionId, SessionSpec, StreamProgress, UserSession};
 
 /// Magic bytes identifying a fleet session checkpoint (format version 1).
 pub const FLEET_MAGIC: &[u8; 8] = b"CHAMFLT1";
@@ -92,12 +93,29 @@ impl SessionCheckpoint {
     /// # Errors
     ///
     /// Returns a [`LoadCheckpointError`] when the inner learner blob is
-    /// corrupt or shaped for a different scenario.
+    /// corrupt or shaped for a different scenario, or when the spec or the
+    /// stream progress is invalid for `scenario`
+    /// ([`LoadCheckpointError::Invalid`]). A blob that passes its CRC but
+    /// holds such values is rejected, never panicked on.
     pub fn restore(
         &self,
         scenario: Arc<DomainIlScenario>,
         fleet_faults: Option<&FaultPlan>,
     ) -> Result<UserSession, LoadCheckpointError> {
+        self.restore_resuming(scenario, fleet_faults, &mut None)
+    }
+
+    /// [`Self::restore`], resuming `cursor` — the stream cursor the session
+    /// held when this checkpoint was captured — instead of replaying the
+    /// stream when it sits exactly at the captured position. The cursor is
+    /// taken only on success; on error it stays with the caller.
+    pub(crate) fn restore_resuming(
+        &self,
+        scenario: Arc<DomainIlScenario>,
+        fleet_faults: Option<&FaultPlan>,
+        cursor: &mut Option<StreamCursor>,
+    ) -> Result<UserSession, LoadCheckpointError> {
+        self.validate(&scenario)?;
         let model = ModelConfig::for_spec(scenario.spec());
         let mut learner = Chameleon::load_checkpoint(
             &model,
@@ -112,13 +130,53 @@ impl SessionCheckpoint {
             scenario,
             learner,
             fleet_faults,
-            crate::session::StreamProgress {
+            StreamProgress {
                 next_domain: self.next_domain,
                 mid_domain: self.mid_domain,
                 batches_into_domain: self.batches_into_domain,
                 finalized: self.finalized,
             },
+            cursor.take(),
         ))
+    }
+
+    /// Checks the spec and the stream progress against `scenario`: the
+    /// values a session stepping through it can reach. Anything else
+    /// would panic in a constructor, or replay for as long as a forged
+    /// batch count says.
+    fn validate(&self, scenario: &DomainIlScenario) -> Result<(), LoadCheckpointError> {
+        let invalid = |what, requirement| Err(LoadCheckpointError::Invalid { what, requirement });
+        if let Err(e) = self.spec.learner.validate() {
+            return invalid(e.field, e.requirement);
+        }
+        if let Err(e) = self.spec.stream.validate() {
+            return invalid(e.field, e.requirement);
+        }
+        let domains = scenario.spec().num_domains;
+        let batches_per_domain = scenario
+            .samples_per_domain()
+            .div_ceil(self.spec.stream.batch_size) as u64;
+        if self.finalized {
+            if self.mid_domain || self.next_domain != domains {
+                return invalid(
+                    "stream progress",
+                    "of a finalized session must be past the last domain",
+                );
+            }
+        } else if self.mid_domain {
+            if self.next_domain >= domains {
+                return invalid("next domain", "must be below the domain count");
+            }
+            if self.batches_into_domain > batches_per_domain {
+                return invalid(
+                    "batches into domain",
+                    "must not exceed the domain's batch count",
+                );
+            }
+        } else if self.next_domain > domains {
+            return invalid("next domain", "must not exceed the domain count");
+        }
+        Ok(())
     }
 
     /// Serializes into the `CHAMFLT1` envelope.
@@ -615,5 +673,147 @@ mod tests {
         let restored = ck.restore(scenario, None).expect("restore");
         assert_eq!(restored.learner().counters(), before);
         assert_eq!(restored.trace(), session.trace());
+    }
+
+    /// A session of `precision` stepped `batches` into its stream.
+    fn stepped(
+        batches: usize,
+        precision: Precision,
+        faults: Option<&FaultPlan>,
+    ) -> (Arc<DomainIlScenario>, UserSession) {
+        let scenario = Arc::new(DomainIlScenario::generate(
+            &DatasetSpec::core50_tiny(),
+            0xDA7A,
+        ));
+        let spec = SessionSpec {
+            learner: ChameleonConfig {
+                long_term_capacity: 30,
+                precision,
+                ..ChameleonConfig::default()
+            },
+            stream: StreamConfig::default(),
+            learner_seed: 5,
+            stream_seed: 11,
+        };
+        let mut session = UserSession::new(2, spec, Arc::clone(&scenario), faults);
+        session.step_batches(batches);
+        (scenario, session)
+    }
+
+    #[test]
+    fn cached_cursor_restore_equals_replay_restore() {
+        // core50-tiny streams 12 batches per domain over 4 domains: a fresh
+        // session, 1 and 17 batches in, the last batch of domain 0 (cursor
+        // exhausted but still live), the first batch after its end_domain,
+        // and a finalized session.
+        let plan = FaultPlan::bit_flips(21, 1e-4);
+        for batches in [0, 1, 17, 12, 13, 60] {
+            for faults in [None, Some(&plan)] {
+                for precision in [Precision::F32, Precision::Int8] {
+                    let at = format!(
+                        "{batches} batches, faults {}, {precision}",
+                        faults.is_some()
+                    );
+                    let (scenario, session) = stepped(batches, precision, faults);
+                    let ck = SessionCheckpoint::capture(&session);
+                    let mut cursor = session.into_cursor();
+                    assert_eq!(cursor.is_some(), ck.mid_domain, "{at}");
+                    let mut cached = ck
+                        .restore_resuming(Arc::clone(&scenario), faults, &mut cursor)
+                        .expect("cached restore");
+                    assert!(cursor.is_none(), "{at}: the cursor is taken on success");
+                    let mut replayed = ck.restore(Arc::clone(&scenario), faults).expect("replay");
+
+                    assert_eq!(cached.upcoming_bits(5), replayed.upcoming_bits(5), "{at}");
+                    assert_eq!(
+                        SessionCheckpoint::capture(&cached).to_bytes(),
+                        SessionCheckpoint::capture(&replayed).to_bytes(),
+                        "{at}"
+                    );
+                    assert_eq!(cached.step_batches(7), replayed.step_batches(7), "{at}");
+                    assert_eq!(
+                        SessionCheckpoint::capture(&cached).to_bytes(),
+                        SessionCheckpoint::capture(&replayed).to_bytes(),
+                        "{at}: diverged after resuming"
+                    );
+                    assert_eq!(cached.evaluate(), replayed.evaluate(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cursor_at_another_position_is_replaced_by_replay() {
+        let (scenario, session) = stepped(17, Precision::F32, None);
+        let ck = SessionCheckpoint::capture(&session);
+        let (_, behind) = stepped(16, Precision::F32, None);
+        let (_, other_domain) = stepped(7, Precision::F32, None);
+        let expected = ck
+            .restore(Arc::clone(&scenario), None)
+            .expect("replay")
+            .upcoming_bits(4);
+        for stale in [behind.into_cursor(), other_domain.into_cursor()] {
+            let restored = ck
+                .restore_resuming(Arc::clone(&scenario), None, &mut stale.clone())
+                .expect("restore");
+            assert_eq!(restored.upcoming_bits(4), expected);
+        }
+    }
+
+    #[test]
+    fn forged_progress_and_specs_are_rejected_without_panic_or_replay() {
+        // Every case passes the CRC: the blob is re-sealed after the edit,
+        // as a hostile Handoff or a damaged-then-rewritten store record
+        // would be. Restore must answer with an error at once.
+        let (scenario, mut session) = tiny_session(4);
+        session.step_batches(5);
+        let good = SessionCheckpoint::capture(&session);
+        type Forge = fn(&mut SessionCheckpoint);
+        let forgeries: [(&str, Forge); 11] = [
+            ("mid-domain past the last domain", |c| c.next_domain = 4),
+            ("mid-domain far past the last domain", |c| {
+                c.next_domain = u32::MAX as usize
+            }),
+            ("2^26 batches into a domain", |c| {
+                c.batches_into_domain = 1 << 26
+            }),
+            ("2^63 batches into a domain", |c| {
+                c.batches_into_domain = 1 << 63
+            }),
+            ("one batch past the domain", |c| c.batches_into_domain = 13),
+            ("finalized mid-domain", |c| c.finalized = true),
+            ("between domains past the end", |c| {
+                c.mid_domain = false;
+                c.next_domain = 5;
+            }),
+            ("zero batch size", |c| c.spec.stream.batch_size = 0),
+            ("zero run length", |c| c.spec.stream.run_length = 0),
+            ("zero short-term capacity", |c| {
+                c.spec.learner.short_term_capacity = 0
+            }),
+            ("rho above one", |c| c.spec.learner.rho = 2.0),
+        ];
+        for (what, forge) in forgeries {
+            let mut bad = good.clone();
+            forge(&mut bad);
+            let decoded = SessionCheckpoint::from_bytes(&bad.to_bytes()).expect("valid CRC");
+            let err = decoded
+                .restore(Arc::clone(&scenario), None)
+                .expect_err(what);
+            assert!(
+                matches!(err, LoadCheckpointError::Invalid { .. }),
+                "{what}: {err:?}"
+            );
+        }
+        // The boundary values stay valid: the domain's last batch, and a
+        // finalized session past the last domain.
+        let mut last = good.clone();
+        last.batches_into_domain = 12;
+        assert!(last.restore(Arc::clone(&scenario), None).is_ok());
+        let mut done = good;
+        done.mid_domain = false;
+        done.finalized = true;
+        done.next_domain = 4;
+        assert!(done.restore(scenario, None).is_ok());
     }
 }

@@ -252,10 +252,36 @@ impl UserSession {
         )
     }
 
+    /// Consumes the session, keeping only its live stream cursor — what an
+    /// eviction holds on to so the next restore need not replay the stream.
+    pub(crate) fn into_cursor(self) -> Option<StreamCursor> {
+        self.cursor
+    }
+
+    /// The labels and raw bits of the next `k` batches this session's
+    /// cursor would deliver, drawn from a clone so the session stays put.
+    #[cfg(test)]
+    pub(crate) fn upcoming_bits(&self, k: usize) -> Vec<(Vec<usize>, Vec<u32>)> {
+        let Some(mut cursor) = self.cursor.clone() else {
+            return Vec::new();
+        };
+        (0..k)
+            .map_while(|_| cursor.next_batch(self.scenario.generator()))
+            .map(|b| {
+                (
+                    b.labels,
+                    b.raw.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
     /// Rebuilds a session from checkpointed progress: a reloaded learner
-    /// plus the stream position. The cursor is recreated from the
-    /// deterministic per-domain seed and fast-forwarded by replaying
-    /// `progress.batches_into_domain` batches, reproducing the exact
+    /// plus the stream position. A `cached` cursor (the one the session
+    /// held when it was evicted) is resumed as is when it sits exactly at
+    /// `progress`; otherwise the cursor is recreated from the deterministic
+    /// per-domain seed and fast-forwarded by replaying
+    /// `progress.batches_into_domain` batches. Both reproduce the exact
     /// stream state at eviction time.
     pub(crate) fn from_restored_parts(
         id: SessionId,
@@ -264,6 +290,7 @@ impl UserSession {
         learner: Chameleon,
         fleet_faults: Option<&FaultPlan>,
         progress: StreamProgress,
+        cached: Option<StreamCursor>,
     ) -> Self {
         let injector = fleet_faults
             .filter(|plan| !plan.is_noop())
@@ -280,15 +307,29 @@ impl UserSession {
             finalized: progress.finalized,
         };
         if progress.mid_domain && !progress.finalized {
-            let mut cursor = session.scenario.stream_cursor(
-                progress.next_domain,
-                &session.spec.stream,
-                session.domain_seed(progress.next_domain),
+            let delivered = progress.samples_delivered(
+                session.spec.stream.batch_size,
+                session.scenario.samples_per_domain(),
             );
-            let generator = session.scenario.generator();
-            for _ in 0..progress.batches_into_domain {
-                let _ = cursor.next_batch(generator);
-            }
+            let cursor = match cached {
+                Some(cursor)
+                    if cursor.domain() == progress.next_domain && cursor.emitted() == delivered =>
+                {
+                    cursor
+                }
+                _ => {
+                    let mut cursor = session.scenario.stream_cursor(
+                        progress.next_domain,
+                        &session.spec.stream,
+                        session.domain_seed(progress.next_domain),
+                    );
+                    let generator = session.scenario.generator();
+                    for _ in 0..progress.batches_into_domain {
+                        let _ = cursor.next_batch(generator);
+                    }
+                    cursor
+                }
+            };
             session.cursor = Some(cursor);
             session.batches_into_domain = progress.batches_into_domain;
         }
@@ -303,6 +344,18 @@ pub(crate) struct StreamProgress {
     pub(crate) mid_domain: bool,
     pub(crate) batches_into_domain: u64,
     pub(crate) finalized: bool,
+}
+
+impl StreamProgress {
+    /// Samples the stream has emitted into `next_domain` at this position:
+    /// `batches_into_domain` batches of `batch_size`, the last one cut at
+    /// the domain's `per_domain` samples.
+    fn samples_delivered(&self, batch_size: usize, per_domain: usize) -> usize {
+        usize::try_from(self.batches_into_domain)
+            .ok()
+            .and_then(|batches| batches.checked_mul(batch_size))
+            .map_or(per_domain, |samples| samples.min(per_domain))
+    }
 }
 
 #[cfg(test)]

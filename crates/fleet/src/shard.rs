@@ -17,7 +17,7 @@ use chameleon_core::EvalReport;
 use chameleon_faults::FaultPlan;
 use chameleon_obs::{Observer, Stage};
 use chameleon_runtime::Clock;
-use chameleon_stream::DomainIlScenario;
+use chameleon_stream::{DomainIlScenario, StreamCursor};
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::metrics::ShardMetrics;
@@ -122,8 +122,18 @@ struct Resident {
 /// store attached, or the store write failed) or a marker for a blob whose
 /// latest sealed record lives in the session store — the genuine spill
 /// path, where eviction actually frees the checkpoint's memory.
+///
+/// Both keep the stream cursor the session held when it was evicted, so
+/// the restore resumes it instead of replaying the stream up to the
+/// checkpoint's position. A session recovered from the store after a
+/// restart, or imported from a handoff blob, has no kept cursor and
+/// replays.
 enum Cold {
-    Ram(Box<SessionCheckpoint>),
+    Ram {
+        checkpoint: Box<SessionCheckpoint>,
+        /// The cursor the session was evicted with, if it was mid-domain.
+        cursor: Option<StreamCursor>,
+    },
     Disk {
         /// Sequence number the store acknowledged for the latest record.
         #[allow(dead_code)] // diagnostic; the store's index is authoritative
@@ -131,6 +141,8 @@ enum Cold {
         /// Counters kept aside so metrics snapshots and trace merges do not
         /// need a disk read.
         counters: chameleon_core::LearnerCounters,
+        /// The cursor the session was evicted with, if it was mid-domain.
+        cursor: Option<StreamCursor>,
     },
 }
 
@@ -201,7 +213,14 @@ impl ShardWorker {
         recovered: Vec<RecoveredSession>,
     ) {
         for (id, seq, counters) in recovered {
-            self.cold.insert(id, Cold::Disk { seq, counters });
+            self.cold.insert(
+                id,
+                Cold::Disk {
+                    seq,
+                    counters,
+                    cursor: None,
+                },
+            );
         }
         self.store = Some(store);
     }
@@ -349,7 +368,7 @@ impl ShardWorker {
                     Ok(Some(blob))
                 } else {
                     match self.cold.get(&id) {
-                        Some(Cold::Ram(checkpoint)) => Ok(Some(checkpoint.to_bytes())),
+                        Some(Cold::Ram { checkpoint, .. }) => Ok(Some(checkpoint.to_bytes())),
                         // A disk-cold blob is served verbatim: the stored
                         // record *is* the CHAMFLT1 envelope.
                         Some(Cold::Disk { .. }) => self.fetch_cold_blob(id).map(Some),
@@ -397,7 +416,7 @@ impl ShardWorker {
                     Ok(Some(blob))
                 } else {
                     match self.cold.get(&id) {
-                        Some(Cold::Ram(checkpoint)) => Ok(Some(checkpoint.to_bytes())),
+                        Some(Cold::Ram { checkpoint, .. }) => Ok(Some(checkpoint.to_bytes())),
                         Some(Cold::Disk { .. }) => self.fetch_cold_blob(id).map(Some),
                         None => Ok(None),
                     }
@@ -459,7 +478,13 @@ impl ShardWorker {
             );
             return;
         }
-        self.cold.insert(id, Cold::Ram(Box::new(checkpoint)));
+        self.cold.insert(
+            id,
+            Cold::Ram {
+                checkpoint: Box::new(checkpoint),
+                cursor: None,
+            },
+        );
         self.metrics.sessions_created += 1;
         self.obs
             .event(format!("shard {}: session {id} imported", self.shard));
@@ -478,19 +503,30 @@ impl ShardWorker {
             return Err("session unknown to this shard".into());
         };
         // Resolve the checkpoint; a disk-cold session reads through the
-        // store first. On any failure the cold entry is put back so the
-        // session is not silently lost.
-        let checkpoint = match cold {
-            Cold::Ram(checkpoint) => checkpoint,
-            Cold::Disk { seq, counters } => {
+        // store first. On any failure the cold entry is put back, cursor
+        // included, so the session is not silently lost.
+        let (checkpoint, mut cursor) = match cold {
+            Cold::Ram { checkpoint, cursor } => (checkpoint, cursor),
+            Cold::Disk {
+                seq,
+                counters,
+                cursor,
+            } => {
                 let loaded = self.fetch_cold_blob(id).and_then(|blob| {
                     SessionCheckpoint::from_bytes(&blob)
                         .map_err(|e| format!("stored checkpoint rejected: {e:?}"))
                 });
                 match loaded {
-                    Ok(checkpoint) => Box::new(checkpoint),
+                    Ok(checkpoint) => (Box::new(checkpoint), cursor),
                     Err(reason) => {
-                        self.cold.insert(id, Cold::Disk { seq, counters });
+                        self.cold.insert(
+                            id,
+                            Cold::Disk {
+                                seq,
+                                counters,
+                                cursor,
+                            },
+                        );
                         self.obs.event(format!(
                             "shard {}: session {id} restore failed: {reason}",
                             self.shard
@@ -501,7 +537,11 @@ impl ShardWorker {
             }
         };
         let start = self.time.now_nanos();
-        let restored = checkpoint.restore(Arc::clone(&self.scenario), self.faults.as_ref());
+        let restored = checkpoint.restore_resuming(
+            Arc::clone(&self.scenario),
+            self.faults.as_ref(),
+            &mut cursor,
+        );
         let elapsed = self.time.now_nanos().saturating_sub(start);
         self.metrics.restore_nanos += elapsed;
         self.obs.record(Stage::Restore, elapsed);
@@ -516,7 +556,7 @@ impl ShardWorker {
             }
             Err(e) => {
                 // Put the blob back so the session is not silently lost.
-                self.cold.insert(id, Cold::Ram(checkpoint));
+                self.cold.insert(id, Cold::Ram { checkpoint, cursor });
                 self.obs.event(format!(
                     "shard {}: session {id} restore failed: {e:?}",
                     self.shard
@@ -590,6 +630,7 @@ impl ShardWorker {
         self.metrics.evictions += 1;
         self.obs
             .event(format!("shard {}: session {id} evicted", self.shard));
+        let cursor = resident.session.into_cursor();
         let cold = match &self.store {
             Some(store) => {
                 // Write-ahead discipline: append seals + fsyncs before it
@@ -598,17 +639,24 @@ impl ShardWorker {
                     Ok(seq) => Cold::Disk {
                         seq,
                         counters: checkpoint.counters,
+                        cursor,
                     },
                     Err(e) => {
                         self.obs.event(format!(
                             "shard {}: session {id} spill failed, kept in RAM: {e}",
                             self.shard
                         ));
-                        Cold::Ram(Box::new(checkpoint))
+                        Cold::Ram {
+                            checkpoint: Box::new(checkpoint),
+                            cursor,
+                        }
                     }
                 }
             }
-            None => Cold::Ram(Box::new(checkpoint)),
+            None => Cold::Ram {
+                checkpoint: Box::new(checkpoint),
+                cursor,
+            },
         };
         self.cold.insert(id, cold);
     }
@@ -629,7 +677,7 @@ impl ShardWorker {
         }
         for cold in self.cold.values() {
             match cold {
-                Cold::Ram(checkpoint) => m.trace.merge(&checkpoint.counters.trace),
+                Cold::Ram { checkpoint, .. } => m.trace.merge(&checkpoint.counters.trace),
                 Cold::Disk { counters, .. } => m.trace.merge(&counters.trace),
             }
         }
@@ -987,5 +1035,95 @@ mod tests {
         assert_eq!(snap.batches, 5);
         // Default batch size is 10 inputs per batch.
         assert_eq!(snap.trace.inputs, 50);
+    }
+    /// Valid-CRC `CHAMFLT1` blobs for session `id` whose spec or stream
+    /// progress no real session reaches, each with what it forges.
+    fn forged_blobs(id: SessionId) -> Vec<(&'static str, Vec<u8>)> {
+        let (mut donor, rx) = tiny_worker(u64::MAX);
+        donor.handle_create(id, tiny_spec(id), 0);
+        donor.handle_command(id, SessionCommand::Step { batches: 5 }, 0);
+        donor.handle_command(id, SessionCommand::Checkpoint, 0);
+        let good = match rx.try_iter().last().expect("events").kind {
+            SessionEventKind::Checkpointed(blob) => SessionCheckpoint::from_bytes(&blob),
+            other => panic!("expected checkpoint, got {other:?}"),
+        }
+        .expect("valid blob");
+        type Forge = fn(&mut SessionCheckpoint);
+        let forgeries: [(&'static str, Forge); 4] = [
+            ("domain out of range", |c| c.next_domain = 4),
+            ("2^63 batches into a domain", |c| {
+                c.batches_into_domain = 1 << 63
+            }),
+            ("zero batch size", |c| c.spec.stream.batch_size = 0),
+            ("zero long-term period", |c| {
+                c.spec.learner.long_term_period = 0
+            }),
+        ];
+        forgeries
+            .into_iter()
+            .map(|(what, forge)| {
+                let mut bad = good.clone();
+                forge(&mut bad);
+                (what, bad.to_bytes())
+            })
+            .collect()
+    }
+
+    fn assert_restore_refused(
+        worker: &mut ShardWorker,
+        rx: &Receiver<SessionEvent>,
+        id: u64,
+        what: &str,
+    ) {
+        worker.handle_command(id, SessionCommand::Step { batches: 1 }, 0);
+        match rx.try_iter().last().expect("events").kind {
+            SessionEventKind::Failed(reason) => {
+                assert!(reason.contains("Invalid"), "{what}: {reason}");
+            }
+            other => panic!("{what}: expected a failed restore, got {other:?}"),
+        }
+        assert!(worker.cold.contains_key(&id), "{what}: session lost");
+        assert!(worker.resident.is_empty(), "{what}");
+        assert_eq!(worker.metrics.restores, 0, "{what}");
+    }
+
+    #[test]
+    fn handoff_blobs_with_impossible_progress_or_specs_fail_on_touch() {
+        for (what, blob) in forged_blobs(8) {
+            let (mut worker, rx) = tiny_worker(u64::MAX);
+            worker.handle_import(8, &blob, 0);
+            assert_eq!(
+                rx.try_iter().last().expect("events").kind,
+                SessionEventKind::Imported,
+                "{what}"
+            );
+            assert_restore_refused(&mut worker, &rx, 8, what);
+            // The refused blob is still served verbatim.
+            worker.handle_command(8, SessionCommand::Checkpoint, 0);
+            assert_eq!(
+                rx.try_iter().last().expect("events").kind,
+                SessionEventKind::Checkpointed(blob),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_records_with_impossible_progress_or_specs_fail_on_touch() {
+        let dir =
+            std::env::temp_dir().join(format!("chameleon-shard-forged-{}", std::process::id()));
+        for (what, blob) in forged_blobs(9) {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = chameleon_store::SharedStore::open(chameleon_store::StoreConfig::new(&dir))
+                .expect("open store");
+            let seq = store.append(9, &blob).expect("append");
+            let counters = SessionCheckpoint::from_bytes(&blob)
+                .expect("decode")
+                .counters;
+            let (mut worker, rx) = tiny_worker(u64::MAX);
+            worker.attach_store(store, vec![(9, seq, counters)]);
+            assert_restore_refused(&mut worker, &rx, 9, what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

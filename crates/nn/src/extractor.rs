@@ -1,5 +1,7 @@
 //! The frozen feature extractor `f_θ`.
 
+use std::sync::Arc;
+
 use chameleon_tensor::{Matrix, Prng};
 
 /// A frozen feature extractor standing in for the pre-trained MobileNetV1
@@ -10,7 +12,8 @@ use chameleon_tensor::{Matrix, Prng};
 /// paper's frozen `f_θ`: a deterministic function that produces latent
 /// activations whose class/domain cluster structure the head must learn.
 /// ReLU keeps latents non-negative, matching real post-activation feature
-/// maps.
+/// maps. The frozen stages sit behind an [`Arc`], so clones share one copy
+/// of the weights: a fleet of learners over the same trunk holds it once.
 ///
 /// Strategies that store *raw* samples (ER, DER, GSS) re-extract on every
 /// replay — their extra compute shows up in the hardware cost model through
@@ -34,7 +37,7 @@ use chameleon_tensor::{Matrix, Prng};
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrozenExtractor {
     /// Frozen affine stages, applied in order with ReLU after each.
-    layers: Vec<(Matrix, Vec<f32>)>,
+    layers: Arc<Vec<(Matrix, Vec<f32>)>>,
 }
 
 impl FrozenExtractor {
@@ -76,7 +79,16 @@ impl FrozenExtractor {
                 (weight, vec![0.1; w[1]])
             })
             .collect();
-        Self { layers }
+        Self {
+            layers: Arc::new(layers),
+        }
+    }
+
+    /// Whether `self` and `other` share one copy of the frozen weights
+    /// (clones do; two independently built extractors do not, even when
+    /// their weights are equal).
+    pub fn shares_weights_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.layers, &other.layers)
     }
 
     /// Raw input dimension.
@@ -112,7 +124,7 @@ impl FrozenExtractor {
     /// Panics if `raw.cols() != self.raw_dim()`.
     pub fn extract_batch(&self, raw: &Matrix) -> Matrix {
         let mut cur = raw.clone();
-        for (weight, bias) in &self.layers {
+        for (weight, bias) in self.layers.iter() {
             let mut out = cur.matmul_nt(weight);
             out.add_row_broadcast(bias);
             for v in out.as_mut_slice() {

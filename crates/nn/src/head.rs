@@ -123,6 +123,43 @@ impl MlpHead {
         }
     }
 
+    /// Total parameter count of a head with dimension chain `dims`, the
+    /// length [`Self::from_parameters`] expects.
+    pub fn parameter_count_of(dims: &[usize]) -> usize {
+        dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
+    }
+
+    /// Builds a head from a dimension chain and a flat parameter vector
+    /// produced by [`Self::parameters`] — the same head as [`Self::new`]
+    /// followed by [`Self::set_parameters`], without drawing the random
+    /// init that `set_parameters` would overwrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two dimensions are given, any is zero, or
+    /// `flat.len() != Self::parameter_count_of(dims)`.
+    pub fn from_parameters(dims: &[usize], flat: &[f32]) -> Self {
+        assert!(dims.len() >= 2, "head needs at least [input, output] dims");
+        assert_eq!(
+            flat.len(),
+            Self::parameter_count_of(dims),
+            "parameter vector length mismatch"
+        );
+        let mut offset = 0;
+        let layers = dims
+            .windows(2)
+            .map(|w| {
+                let (layer, used) = Linear::from_params(w[0], w[1], &flat[offset..]);
+                offset += used;
+                layer
+            })
+            .collect();
+        Self {
+            layers,
+            kernel: Kernel::Scalar,
+        }
+    }
+
     /// The kernel path this head's forward passes run through.
     pub fn kernel(&self) -> Kernel {
         self.kernel

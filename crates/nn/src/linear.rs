@@ -36,6 +36,33 @@ impl Linear {
         }
     }
 
+    /// Builds a layer straight from the front of a flat parameter slice
+    /// laid out as [`Self::write_params`] writes it (weights row-major,
+    /// then bias), drawing no random init. Returns the layer and the
+    /// number of values consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or `flat` is too short.
+    pub(crate) fn from_params(
+        in_features: usize,
+        out_features: usize,
+        flat: &[f32],
+    ) -> (Self, usize) {
+        assert!(
+            in_features > 0 && out_features > 0,
+            "layer dimensions must be non-zero"
+        );
+        let wn = in_features * out_features;
+        let total = wn + out_features;
+        assert!(flat.len() >= total, "flat parameter slice too short");
+        let layer = Self {
+            weight: Matrix::from_vec(out_features, in_features, flat[..wn].to_vec()),
+            bias: flat[wn..total].to_vec(),
+        };
+        (layer, total)
+    }
+
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.cols()

@@ -83,9 +83,13 @@ impl DomainIlScenario {
         config: &StreamConfig,
         stream_seed: u64,
     ) -> DomainStream<'_> {
-        let spec = self.generator.spec();
-        let total = spec.num_classes * spec.train_per_class_per_domain;
-        DomainStream::new(&self.generator, domain, config.clone(), total, stream_seed)
+        DomainStream::new(
+            &self.generator,
+            domain,
+            config.clone(),
+            self.samples_per_domain(),
+            stream_seed,
+        )
     }
 
     /// An owned [`StreamCursor`] over one domain: the same batches as
@@ -102,10 +106,23 @@ impl DomainIlScenario {
         config: &StreamConfig,
         stream_seed: u64,
     ) -> StreamCursor {
+        assert!(
+            domain < self.generator.spec().num_domains,
+            "domain out of range"
+        );
+        StreamCursor::new(
+            domain,
+            config.clone(),
+            self.samples_per_domain(),
+            stream_seed,
+        )
+    }
+
+    /// Training samples each domain's stream delivers:
+    /// `num_classes × train_per_class_per_domain`.
+    pub fn samples_per_domain(&self) -> usize {
         let spec = self.generator.spec();
-        assert!(domain < spec.num_domains, "domain out of range");
-        let total = spec.num_classes * spec.train_per_class_per_domain;
-        StreamCursor::new(domain, config.clone(), total, stream_seed)
+        spec.num_classes * spec.train_per_class_per_domain
     }
 
     /// The held-out test inputs (`test_len × raw_dim`) and labels, covering

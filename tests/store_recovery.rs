@@ -239,3 +239,97 @@ fn budget_pressure_spills_through_the_store_and_restores_transparently() {
     drop(fleet);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Steps `user` `batches` into its stream on a fresh store-backed sim
+/// engine, evicts it to disk and, when `crash` is set, drops the engine
+/// and recovers it from the store (no cursor survives that); then steps
+/// `after` more batches and returns the session's checkpoint.
+fn resumed_on_disk(dir: &std::path::Path, batches: usize, crash: bool, after: usize) -> Vec<u8> {
+    let _ = std::fs::remove_dir_all(dir);
+    let user = 30;
+    let store = SharedStore::open(StoreConfig::new(dir)).expect("open store");
+    let mut fleet = FleetEngine::with_store(scenario(), config(), Runtime::sim(1), store);
+    fleet.create_blocking(user, spec(user)).expect("create");
+    fleet
+        .command_blocking(user, SessionCommand::Step { batches })
+        .expect("step");
+    fleet
+        .command_blocking(user, SessionCommand::Evict)
+        .expect("evict");
+    if crash {
+        drop(fleet);
+        let store = SharedStore::open(StoreConfig::new(dir)).expect("reopen store");
+        (fleet, _) =
+            FleetEngine::recover(scenario(), config(), Runtime::sim(2), store).expect("recover");
+    }
+    fleet
+        .command_blocking(user, SessionCommand::Step { batches: after })
+        .expect("step");
+    fleet
+        .command_blocking(user, SessionCommand::Checkpoint)
+        .expect("checkpoint");
+    checkpointed(&mut fleet)
+}
+
+fn checkpointed(fleet: &mut FleetEngine) -> Vec<u8> {
+    fleet
+        .drain_pending()
+        .into_iter()
+        .find_map(|e| match e.kind {
+            SessionEventKind::Checkpointed(blob) => Some(blob),
+            _ => None,
+        })
+        .expect("checkpointed")
+}
+
+#[test]
+fn evicted_cursor_recovery_and_handoff_restores_reach_the_same_bytes() {
+    // A disk-cold session resumes the cursor it was evicted with; a
+    // recovered or imported one has none and replays the stream. Across
+    // positions inside a domain, at its last batch and just past its end,
+    // all three continue exactly like a solo replay restore.
+    let dir = scratch("resume-paths");
+    let user = 30;
+    for batches in [1usize, 12, 13, 17] {
+        let after = 6;
+        let evicted = resumed_on_disk(&dir, batches, false, after);
+        let recovered = resumed_on_disk(&dir, batches, true, after);
+
+        let mut fleet = FleetEngine::new_sim(scenario(), config(), 4);
+        fleet.create_blocking(user, spec(user)).expect("create");
+        fleet
+            .command_blocking(user, SessionCommand::Step { batches })
+            .expect("step");
+        fleet
+            .command_blocking(user, SessionCommand::Export)
+            .expect("export");
+        let blob = fleet
+            .drain_pending()
+            .into_iter()
+            .find_map(|e| match e.kind {
+                SessionEventKind::Exported(blob) => Some(blob),
+                _ => None,
+            })
+            .expect("exported");
+        fleet.import_blocking(user, blob.clone()).expect("import");
+        fleet
+            .command_blocking(user, SessionCommand::Step { batches: after })
+            .expect("step");
+        fleet
+            .command_blocking(user, SessionCommand::Checkpoint)
+            .expect("checkpoint");
+        let imported = checkpointed(&mut fleet);
+
+        let mut solo = SessionCheckpoint::from_bytes(&blob)
+            .expect("decode")
+            .restore(scenario(), None)
+            .expect("restore");
+        solo.step_batches(after);
+        let replayed = SessionCheckpoint::capture(&solo).to_bytes();
+
+        assert_eq!(evicted, replayed, "{batches} batches: cursor resume");
+        assert_eq!(recovered, replayed, "{batches} batches: recovery");
+        assert_eq!(imported, replayed, "{batches} batches: export/import");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
