@@ -125,24 +125,15 @@ pub struct BalanceCounters {
 }
 
 impl BalanceCounters {
-    /// The counters as `balance.*` name/value pairs, ready to push into a
-    /// `chameleon_obs::Observation`.
+    /// Every counter by field name, in field order (observed as
+    /// `balance.*`).
     #[must_use]
-    pub fn named(&self) -> Vec<(String, u64)> {
-        vec![
-            ("balance.rebalance_ticks".to_string(), self.rebalance_ticks),
-            (
-                "balance.migrations_total".to_string(),
-                self.migrations_total,
-            ),
-            (
-                "balance.migrations_skipped".to_string(),
-                self.migrations_skipped,
-            ),
-            (
-                "balance.migration_failures".to_string(),
-                self.migration_failures,
-            ),
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("rebalance_ticks", self.rebalance_ticks),
+            ("migrations_total", self.migrations_total),
+            ("migrations_skipped", self.migrations_skipped),
+            ("migration_failures", self.migration_failures),
         ]
     }
 }
@@ -242,6 +233,16 @@ impl Balancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<BalanceCounters>(),
+            8 * BalanceCounters::default().named().len()
+        );
+    }
     use crate::policy::Migration;
     use chameleon_core::ChameleonConfig;
     use chameleon_fleet::{FleetConfig, SessionCommand, SessionSpec};

@@ -22,17 +22,16 @@
 //!
 //! Usage: `cargo run --release -p chameleon-bench --bin balance_throughput`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use chameleon_balance::{BalanceConfig, TrafficShape};
-use chameleon_bench::report::Table;
-use chameleon_core::ChameleonConfig;
-use chameleon_fleet::{
-    FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionSpec, UserSession,
-};
-use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
+use chameleon_bench::report::{write_results, Table};
+use chameleon_bench::suite::skewed_user_spec;
+use chameleon_core::Precision;
+use chameleon_fleet::{FleetConfig, FleetEngine, SessionCommand, SessionEventKind, UserSession};
+use chameleon_obs::json::Object;
+use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 const SESSIONS: u64 = 32;
 const SHARDS: usize = 4;
@@ -68,25 +67,6 @@ struct Cell {
 impl Cell {
     fn steps_per_sec(&self) -> f64 {
         self.batches as f64 / self.wall_s.max(1e-9)
-    }
-}
-
-fn user_spec(user: u64, num_classes: usize) -> SessionSpec {
-    let base = (user as usize * 3) % num_classes;
-    SessionSpec {
-        learner: ChameleonConfig {
-            long_term_capacity: BUFFER,
-            ..ChameleonConfig::default()
-        },
-        stream: StreamConfig {
-            preference: PreferenceProfile::Skewed {
-                preferred: vec![base, (base + 1) % num_classes, (base + 2) % num_classes],
-                boost: 8.0,
-            },
-            ..StreamConfig::default()
-        },
-        learner_seed: user.wrapping_mul(31) ^ 5,
-        stream_seed: user.wrapping_add(0x5EED),
     }
 }
 
@@ -130,7 +110,10 @@ fn run_cell(
     );
     for user in 0..SESSIONS {
         engine
-            .create_blocking(user, user_spec(user, num_classes))
+            .create_blocking(
+                user,
+                skewed_user_spec(user, num_classes, BUFFER, Precision::F32),
+            )
             .expect("create session");
     }
     engine.drain_pending();
@@ -189,7 +172,7 @@ fn main() {
     // One session's nominal resident footprint prices the budget.
     let session_bytes = UserSession::new(
         0,
-        user_spec(0, spec.num_classes),
+        skewed_user_spec(0, spec.num_classes, BUFFER, Precision::F32),
         Arc::clone(&scenario),
         None,
     )
@@ -248,54 +231,93 @@ fn main() {
          net of the migrations' own export/import cost."
     );
 
-    let json = render_json(spec.name, session_bytes, assignment_seed, &cells);
-    let path = "results/balance_throughput.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {path}");
+    write_results(
+        "balance_throughput.json",
+        &document(spec.name, session_bytes, assignment_seed, &cells),
+    );
 }
 
-fn render_json(dataset: &str, session_bytes: u64, assignment_seed: u64, cells: &[Cell]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"sessions\": {SESSIONS},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"shape\": \"{SHAPE}\",");
-    let _ = writeln!(out, "  \"draws\": {DRAWS},");
-    let _ = writeln!(out, "  \"buffer\": {BUFFER},");
-    let _ = writeln!(out, "  \"session_bytes\": {session_bytes},");
-    let _ = writeln!(out, "  \"budget_sessions_per_shard\": {BUDGET_SESSIONS}.5,");
-    let _ = writeln!(out, "  \"assignment_seed\": {assignment_seed},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"identical full-stream workload per cell; hot ids hash-clustered on one \
-         shard; speedup is LRU-churn relief net of migration cost, measured on whatever host \
-         ran this\","
-    );
+fn document(dataset: &str, session_bytes: u64, assignment_seed: u64, cells: &[Cell]) -> String {
     let base = cells[0].steps_per_sec();
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in cells.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"balance\": \"{}\", \"wall_s\": {:.4}, \"batches\": {}, \
-             \"steps_per_sec\": {:.2}, \"evictions\": {}, \"restores\": {}, \
-             \"migrations\": {}, \"rebalance_ticks\": {}, \"speedup_vs_off\": {:.3}}}{}",
-            cell.policy,
-            cell.wall_s,
-            cell.batches,
-            cell.steps_per_sec(),
-            cell.evictions,
-            cell.restores,
-            cell.migrations,
-            cell.rebalance_ticks,
-            cell.steps_per_sec() / base.max(1e-9),
-            if i + 1 < cells.len() { "," } else { "" }
+    let doc = Object::block()
+        .str("dataset", dataset)
+        .num("sessions", SESSIONS)
+        .num("shards", SHARDS)
+        .str("shape", SHAPE)
+        .num("draws", DRAWS)
+        .num("buffer", BUFFER)
+        .num("session_bytes", session_bytes)
+        .num("budget_sessions_per_shard", format!("{BUDGET_SESSIONS}.5"))
+        .num("assignment_seed", assignment_seed)
+        .str(
+            "note",
+            "identical full-stream workload per cell; hot ids hash-clustered on one shard; \
+             speedup is LRU-churn relief net of migration cost, measured on whatever host ran \
+             this",
+        )
+        .array(
+            "cells",
+            cells.iter().map(|cell| {
+                Object::inline()
+                    .str("balance", &cell.policy)
+                    .num("wall_s", format!("{:.4}", cell.wall_s))
+                    .num("batches", cell.batches)
+                    .num("steps_per_sec", format!("{:.2}", cell.steps_per_sec()))
+                    .num("evictions", cell.evictions)
+                    .num("restores", cell.restores)
+                    .num("migrations", cell.migrations)
+                    .num("rebalance_ticks", cell.rebalance_ticks)
+                    .num(
+                        "speedup_vs_off",
+                        format!("{:.3}", cell.steps_per_sec() / base.max(1e-9)),
+                    )
+            }),
+        );
+    format!("{}\n", doc.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BALANCE_THROUGHPUT_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "sessions": 32,
+  "shards": 4,
+  "shape": "zipf:1.1",
+  "draws": 6000,
+  "buffer": 1000,
+  "session_bytes": 17000000,
+  "budget_sessions_per_shard": 2.5,
+  "assignment_seed": 42,
+  "note": "identical full-stream workload per cell; hot ids hash-clustered on one shard; speedup is LRU-churn relief net of migration cost, measured on whatever host ran this",
+  "cells": [
+    {"balance": "off", "wall_s": 3.2000, "batches": 6000, "steps_per_sec": 1875.00, "evictions": 4000, "restores": 3990, "migrations": 0, "rebalance_ticks": 0, "speedup_vs_off": 1.000},
+    {"balance": "periodic:4", "wall_s": 1.6000, "batches": 6000, "steps_per_sec": 3750.00, "evictions": 666, "restores": 665, "migrations": 5, "rebalance_ticks": 35, "speedup_vs_off": 2.000},
+    {"balance": "steal:4", "wall_s": 1.1000, "batches": 6000, "steps_per_sec": 5454.55, "evictions": 400, "restores": 399, "migrations": 9, "rebalance_ticks": 63, "speedup_vs_off": 2.909}
+  ]
+}
+"#;
+
+    #[test]
+    fn results_document_is_pinned() {
+        let cell = |policy: &str, wall_s: f64, migrations: u64| Cell {
+            policy: policy.to_string(),
+            wall_s,
+            batches: DRAWS,
+            evictions: 4_000 / (migrations + 1),
+            restores: 3_990 / (migrations + 1),
+            migrations,
+            rebalance_ticks: migrations * 7,
+        };
+        let cells = vec![
+            cell("off", 3.2, 0),
+            cell("periodic:4", 1.6, 5),
+            cell("steal:4", 1.1, 9),
+        ];
+        assert_eq!(
+            document("CORe50-tiny", 17_000_000, 42, &cells),
+            BALANCE_THROUGHPUT_JSON
         );
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

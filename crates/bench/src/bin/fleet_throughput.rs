@@ -15,17 +15,16 @@
 //!
 //! Usage: `cargo run --release -p chameleon-bench --bin fleet_throughput`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chameleon_bench::report::Table;
-use chameleon_core::{ChameleonConfig, Precision};
-use chameleon_fleet::{
-    FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionSpec, UserSession,
-};
+use chameleon_bench::report::{write_results, Table};
+use chameleon_bench::suite::skewed_user_spec;
+use chameleon_core::Precision;
+use chameleon_fleet::{FleetConfig, FleetEngine, SessionCommand, SessionEventKind, UserSession};
+use chameleon_obs::json::Object;
 use chameleon_stream::shapes::NominalShapes;
-use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
+use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 const SESSION_COUNTS: [u64; 2] = [16, 64];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -54,26 +53,6 @@ struct Grid {
     sessions: u64,
     budget_sessions: u64,
     cells: Vec<Cell>,
-}
-
-fn user_spec(user: u64, num_classes: usize, precision: Precision) -> SessionSpec {
-    let base = (user as usize * 3) % num_classes;
-    SessionSpec {
-        learner: ChameleonConfig {
-            long_term_capacity: BUFFER,
-            precision,
-            ..ChameleonConfig::default()
-        },
-        stream: StreamConfig {
-            preference: PreferenceProfile::Skewed {
-                preferred: vec![base, (base + 1) % num_classes, (base + 2) % num_classes],
-                boost: 8.0,
-            },
-            ..StreamConfig::default()
-        },
-        learner_seed: user.wrapping_mul(31) ^ 5,
-        stream_seed: user.wrapping_add(0x5EED),
-    }
 }
 
 /// Most sessions any single shard hosts under the widest sharding — the
@@ -113,7 +92,7 @@ fn run_cell(
     );
     for user in 0..sessions {
         engine
-            .create_blocking(user, user_spec(user, num_classes, precision))
+            .create_blocking(user, skewed_user_spec(user, num_classes, BUFFER, precision))
             .expect("create session");
     }
     engine.drain_pending();
@@ -172,7 +151,7 @@ fn main() {
         // One session's nominal resident footprint prices the budgets.
         let session_bytes = UserSession::new(
             0,
-            user_spec(0, spec.num_classes, precision),
+            skewed_user_spec(0, spec.num_classes, BUFFER, precision),
             Arc::clone(&scenario),
             None,
         )
@@ -243,95 +222,157 @@ fn main() {
         Precision::F32.packed_len(elems) as f64 / Precision::Int8.packed_len(elems) as f64
     );
 
-    let json = render_json(spec.name, elems, &sweeps);
-    let path = "results/fleet_throughput.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {path}");
+    write_results(
+        "fleet_throughput.json",
+        &document(spec.name, elems, &sweeps),
+    );
 }
 
-fn render_json(
-    dataset: &str,
-    latent_elems: usize,
-    sweeps: &[(Precision, u64, Vec<Grid>)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"buffer\": {BUFFER},");
-    let _ = writeln!(out, "  \"step_batches\": {STEP_BATCHES},");
-    let _ = writeln!(
-        out,
-        "  \"latent_bytes_per_sample_f32\": {},",
-        Precision::F32.packed_len(latent_elems)
+fn document(dataset: &str, latent_elems: usize, sweeps: &[(Precision, u64, Vec<Grid>)]) -> String {
+    let (f32_bytes, int8_bytes) = (
+        Precision::F32.packed_len(latent_elems),
+        Precision::Int8.packed_len(latent_elems),
     );
-    let _ = writeln!(
-        out,
-        "  \"latent_bytes_per_sample_int8\": {},",
-        Precision::Int8.packed_len(latent_elems)
-    );
-    let _ = writeln!(
-        out,
-        "  \"latent_shrink\": {:.2},",
-        Precision::F32.packed_len(latent_elems) as f64
-            / Precision::Int8.packed_len(latent_elems) as f64
-    );
-    let _ = writeln!(
-        out,
-        "  \"note\": \"budget per shard = max shard load of the widest sharding; speedup is \
-         LRU-churn relief and is measured on whatever host ran this, with thread parallelism \
-         on top where cores allow; each precision sweep prices its budget with its own \
-         session footprint so both see the same eviction pressure\","
-    );
-    let _ = writeln!(out, "  \"sweeps\": [");
-    for (s, (precision, session_bytes, grids)) in sweeps.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"precision\": \"{precision}\",");
-        let _ = writeln!(out, "      \"session_bytes\": {session_bytes},");
-        render_grids(&mut out, grids);
-        let _ = writeln!(out, "    }}{}", if s + 1 < sweeps.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn render_grids(out: &mut String, grids: &[Grid]) {
-    let _ = writeln!(out, "      \"grids\": [");
-    for (i, grid) in grids.iter().enumerate() {
+    let grid = |grid: &Grid| {
         let base = grid.cells[0].steps_per_sec();
-        let _ = writeln!(out, "        {{");
-        let _ = writeln!(out, "          \"sessions\": {},", grid.sessions);
-        let _ = writeln!(
-            out,
-            "          \"budget_sessions_per_shard\": {},",
-            grid.budget_sessions
+        Object::block()
+            .num("sessions", grid.sessions)
+            .num("budget_sessions_per_shard", grid.budget_sessions)
+            .array(
+                "cells",
+                grid.cells.iter().map(|cell| {
+                    Object::inline()
+                        .num("shards", cell.shards)
+                        .num("wall_s", format!("{:.4}", cell.wall_s))
+                        .num("batches", cell.batches)
+                        .num("steps_per_sec", format!("{:.2}", cell.steps_per_sec()))
+                        .num("evictions", cell.evictions)
+                        .num("restores", cell.restores)
+                        .num(
+                            "speedup_vs_1_shard",
+                            format!("{:.3}", cell.steps_per_sec() / base.max(1e-9)),
+                        )
+                }),
+            )
+    };
+    let doc = Object::block()
+        .str("dataset", dataset)
+        .num("buffer", BUFFER)
+        .num("step_batches", STEP_BATCHES)
+        .num("latent_bytes_per_sample_f32", f32_bytes)
+        .num("latent_bytes_per_sample_int8", int8_bytes)
+        .num(
+            "latent_shrink",
+            format!("{:.2}", f32_bytes as f64 / int8_bytes as f64),
+        )
+        .str(
+            "note",
+            "budget per shard = max shard load of the widest sharding; speedup is LRU-churn \
+             relief and is measured on whatever host ran this, with thread parallelism on top \
+             where cores allow; each precision sweep prices its budget with its own session \
+             footprint so both see the same eviction pressure",
+        )
+        .array(
+            "sweeps",
+            sweeps.iter().map(|(precision, session_bytes, grids)| {
+                Object::block()
+                    .str("precision", precision)
+                    .num("session_bytes", session_bytes)
+                    .array("grids", grids.iter().map(grid))
+            }),
         );
-        let _ = writeln!(out, "          \"cells\": [");
-        for (j, cell) in grid.cells.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "            {{\"shards\": {}, \"wall_s\": {:.4}, \"batches\": {}, \
-                 \"steps_per_sec\": {:.2}, \"evictions\": {}, \"restores\": {}, \
-                 \"speedup_vs_1_shard\": {:.3}}}{}",
-                cell.shards,
-                cell.wall_s,
-                cell.batches,
-                cell.steps_per_sec(),
-                cell.evictions,
-                cell.restores,
-                cell.steps_per_sec() / base.max(1e-9),
-                if j + 1 < grid.cells.len() { "," } else { "" }
-            );
+    format!("{}\n", doc.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FLEET_THROUGHPUT_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "buffer": 500,
+  "step_batches": 1,
+  "latent_bytes_per_sample_f32": 65541,
+  "latent_bytes_per_sample_int8": 16397,
+  "latent_shrink": 4.00,
+  "note": "budget per shard = max shard load of the widest sharding; speedup is LRU-churn relief and is measured on whatever host ran this, with thread parallelism on top where cores allow; each precision sweep prices its budget with its own session footprint so both see the same eviction pressure",
+  "sweeps": [
+    {
+      "precision": "f32",
+      "session_bytes": 17523467,
+      "grids": [
+        {
+          "sessions": 16,
+          "budget_sessions_per_shard": 6,
+          "cells": [
+            {"shards": 1, "wall_s": 0.3500, "batches": 768, "steps_per_sec": 2194.29, "evictions": 794, "restores": 784, "speedup_vs_1_shard": 1.000},
+            {"shards": 4, "wall_s": 0.0969, "batches": 768, "steps_per_sec": 7925.70, "evictions": 0, "restores": 0, "speedup_vs_1_shard": 3.612}
+          ]
+        },
+        {
+          "sessions": 64,
+          "budget_sessions_per_shard": 19,
+          "cells": [
+            {"shards": 2, "wall_s": 1.9000, "batches": 768, "steps_per_sec": 404.21, "evictions": 3162, "restores": 3152, "speedup_vs_1_shard": 1.000}
+          ]
         }
-        let _ = writeln!(out, "          ]");
-        let _ = writeln!(
-            out,
-            "        }}{}",
-            if i + 1 < grids.len() { "," } else { "" }
+      ]
+    },
+    {
+      "precision": "int8",
+      "session_bytes": 8766012,
+      "grids": [
+        {
+          "sessions": 16,
+          "budget_sessions_per_shard": 6,
+          "cells": [
+            {"shards": 1, "wall_s": 0.1750, "batches": 768, "steps_per_sec": 4388.57, "evictions": 794, "restores": 784, "speedup_vs_1_shard": 1.000},
+            {"shards": 4, "wall_s": 0.0485, "batches": 768, "steps_per_sec": 15851.39, "evictions": 0, "restores": 0, "speedup_vs_1_shard": 3.612}
+          ]
+        },
+        {
+          "sessions": 64,
+          "budget_sessions_per_shard": 19,
+          "cells": [
+            {"shards": 2, "wall_s": 0.9500, "batches": 768, "steps_per_sec": 808.42, "evictions": 3162, "restores": 3152, "speedup_vs_1_shard": 1.000}
+          ]
+        }
+      ]
+    }
+  ]
+}
+"#;
+
+    #[test]
+    fn results_document_is_pinned() {
+        let cell = |shards: usize, wall_s: f64, evictions: u64| Cell {
+            shards,
+            wall_s,
+            batches: 768,
+            evictions,
+            restores: evictions.saturating_sub(10),
+        };
+        let grids = |scale: f64| {
+            vec![
+                Grid {
+                    sessions: 16,
+                    budget_sessions: 6,
+                    cells: vec![cell(1, 0.35 * scale, 794), cell(4, 0.0969 * scale, 0)],
+                },
+                Grid {
+                    sessions: 64,
+                    budget_sessions: 19,
+                    cells: vec![cell(2, 1.9 * scale, 3162)],
+                },
+            ]
+        };
+        let sweeps = vec![
+            (Precision::F32, 17_523_467, grids(1.0)),
+            (Precision::Int8, 8_766_012, grids(0.5)),
+        ];
+        assert_eq!(
+            document("CORe50-tiny", 16_384, &sweeps),
+            FLEET_THROUGHPUT_JSON
         );
     }
-    let _ = writeln!(out, "      ]");
 }

@@ -10,12 +10,11 @@
 //! Usage: `cargo run --release -p chameleon-bench --bin robustness_report
 //! [--runs N]` (default 2 seeds per point).
 
-use std::fmt::Write as _;
-
-use chameleon_bench::report::Table;
+use chameleon_bench::report::{write_results, Table};
 use chameleon_bench::suite::runs_from_args;
 use chameleon_core::{Chameleon, ChameleonConfig, Er, LatentReplay, ModelConfig, Trainer};
 use chameleon_faults::{FaultInjector, FaultPlan};
+use chameleon_obs::json::Object;
 use chameleon_stream::{DatasetSpec, DomainIlScenario, StreamConfig};
 use chameleon_tensor::stats::MeanStd;
 
@@ -150,55 +149,96 @@ fn main() {
          latents feed the head directly."
     );
 
-    let json = render_json(spec.name, seeds, &curves);
-    let path = "results/robustness_report.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {path}");
+    write_results(
+        "robustness_report.json",
+        &document(spec.name, seeds, &curves),
+    );
 }
 
-fn render_json(dataset: &str, seeds: u64, curves: &[Curve]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"seeds\": {seeds},");
-    let _ = writeln!(
-        out,
-        "  \"dram_to_sram_ratio\": {},",
-        chameleon_faults::DRAM_TO_SRAM_RATIO
-    );
-    let _ = writeln!(out, "  \"curves\": [");
-    for (i, curve) in curves.iter().enumerate() {
+fn document(dataset: &str, seeds: u64, curves: &[Curve]) -> String {
+    let curve = |curve: &Curve| {
         let clean = curve.points[0].acc.mean;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"method\": \"{}\",", curve.method);
-        let _ = match curve.quarantine {
-            Some(q) => writeln!(out, "      \"quarantine\": {q},"),
-            None => writeln!(out, "      \"quarantine\": null,"),
+        let doc = Object::block().str("method", curve.method);
+        let doc = match curve.quarantine {
+            Some(q) => doc.num("quarantine", q),
+            None => doc.null("quarantine"),
         };
-        let _ = writeln!(out, "      \"points\": [");
-        for (j, p) in curve.points.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"dram_rate\": {:e}, \"acc_all_mean\": {:.4}, \"acc_all_std\": {:.4}, \
-                 \"degradation\": {:.4}, \"bits_flipped\": {}, \"corrupt_evictions\": {}, \
-                 \"prototype_rebuilds\": {}}}{}",
-                p.dram_rate,
-                p.acc.mean,
-                p.acc.std,
-                clean - p.acc.mean,
-                p.bits_flipped,
-                p.evictions,
-                p.rebuilds,
-                if j + 1 < curve.points.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 < curves.len() { "," } else { "" });
+        doc.array(
+            "points",
+            curve.points.iter().map(|p| {
+                Object::inline()
+                    .num("dram_rate", format!("{:e}", p.dram_rate))
+                    .num("acc_all_mean", format!("{:.4}", p.acc.mean))
+                    .num("acc_all_std", format!("{:.4}", p.acc.std))
+                    .num("degradation", format!("{:.4}", clean - p.acc.mean))
+                    .num("bits_flipped", p.bits_flipped)
+                    .num("corrupt_evictions", p.evictions)
+                    .num("prototype_rebuilds", p.rebuilds)
+            }),
+        )
+    };
+    let doc = Object::block()
+        .str("dataset", dataset)
+        .num("seeds", seeds)
+        .num("dram_to_sram_ratio", chameleon_faults::DRAM_TO_SRAM_RATIO)
+        .array("curves", curves.iter().map(curve));
+    format!("{}\n", doc.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROBUSTNESS_REPORT_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "seeds": 2,
+  "dram_to_sram_ratio": 16,
+  "curves": [
+    {
+      "method": "Chameleon",
+      "quarantine": true,
+      "points": [
+        {"dram_rate": 0e0, "acc_all_mean": 58.3333, "acc_all_std": 2.9167, "degradation": 0.0000, "bits_flipped": 0, "corrupt_evictions": 0, "prototype_rebuilds": 0},
+        {"dram_rate": 1e-4, "acc_all_mean": 50.8333, "acc_all_std": 2.5417, "degradation": 7.5000, "bits_flipped": 1381, "corrupt_evictions": 690, "prototype_rebuilds": 92}
+      ]
+    },
+    {
+      "method": "ER",
+      "quarantine": null,
+      "points": [
+        {"dram_rate": 0e0, "acc_all_mean": 57.5000, "acc_all_std": 2.8750, "degradation": 0.0000, "bits_flipped": 0, "corrupt_evictions": 0, "prototype_rebuilds": 0},
+        {"dram_rate": 2.5e-5, "acc_all_mean": 9.1667, "acc_all_std": 0.4583, "degradation": 48.3333, "bits_flipped": 2761, "corrupt_evictions": 1380, "prototype_rebuilds": 184}
+      ]
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+  ]
+}
+"#;
+
+    #[test]
+    fn results_document_is_pinned() {
+        let point = |dram_rate: f64, mean: f32, bits_flipped: u64| Point {
+            dram_rate,
+            acc: MeanStd {
+                mean,
+                std: mean / 20.0,
+                runs: 2,
+            },
+            bits_flipped,
+            evictions: bits_flipped / 2,
+            rebuilds: bits_flipped / 15,
+        };
+        let curves = vec![
+            Curve {
+                method: "Chameleon",
+                quarantine: Some(true),
+                points: vec![point(0.0, 58.3333, 0), point(1e-4, 50.8333, 1381)],
+            },
+            Curve {
+                method: "ER",
+                quarantine: None,
+                points: vec![point(0.0, 57.5, 0), point(2.5e-5, 9.1667, 2761)],
+            },
+        ];
+        assert_eq!(document("CORe50-tiny", 2, &curves), ROBUSTNESS_REPORT_JSON);
+    }
 }

@@ -19,16 +19,17 @@
 //!
 //! Usage: `cargo run --release -p chameleon-bench --bin route_throughput`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chameleon_bench::report::Table;
-use chameleon_core::ChameleonConfig;
-use chameleon_fleet::{FleetConfig, SessionSpec};
+use chameleon_bench::report::{write_results, Table};
+use chameleon_bench::suite::skewed_user_spec;
+use chameleon_core::Precision;
+use chameleon_fleet::FleetConfig;
+use chameleon_obs::json::Object;
 use chameleon_route::{RouteCounters, Router, RouterConfig};
 use chameleon_serve::{Connection, ServeConfig, Server};
-use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
+use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 const SESSIONS: u64 = 8;
 const CONNECTIONS: usize = 4;
@@ -60,33 +61,17 @@ impl Cell {
     }
 }
 
-fn user_spec(user: u64, num_classes: usize) -> SessionSpec {
-    let base = (user as usize * 3) % num_classes;
-    SessionSpec {
-        learner: ChameleonConfig {
-            long_term_capacity: 60,
-            ..ChameleonConfig::default()
-        },
-        stream: StreamConfig {
-            preference: PreferenceProfile::Skewed {
-                preferred: vec![base, (base + 1) % num_classes, (base + 2) % num_classes],
-                boost: 8.0,
-            },
-            ..StreamConfig::default()
-        },
-        learner_seed: user.wrapping_mul(31) ^ 5,
-        stream_seed: user.wrapping_add(0x5EED),
-    }
-}
-
 /// Drives this connection's stripe of sessions end to end (create →
 /// step to exhaustion → checkpoint); returns the request count.
 fn drive_stripe(addr: std::net::SocketAddr, users: Vec<u64>, num_classes: usize) -> u64 {
     let mut conn = Connection::connect(addr).expect("connect");
     let mut requests = 0u64;
     for &user in &users {
-        conn.create_session(user, user_spec(user, num_classes))
-            .expect("create session");
+        conn.create_session(
+            user,
+            skewed_user_spec(user, num_classes, 60, Precision::F32),
+        )
+        .expect("create session");
         requests += 1;
     }
     let mut live = users.clone();
@@ -259,48 +244,90 @@ fn main() {
          parallel under the same proxy."
     );
 
-    let json = render_json(spec.name, &cells);
-    let path = "results/route_throughput.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {path}");
+    write_results("route_throughput.json", &document(spec.name, &cells));
 }
 
-fn render_json(dataset: &str, cells: &[Cell]) -> String {
+fn document(dataset: &str, cells: &[Cell]) -> String {
     let base = cells[0].requests_per_sec();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"sessions\": {SESSIONS},");
-    let _ = writeln!(out, "  \"connections\": {CONNECTIONS},");
-    let _ = writeln!(out, "  \"step_batches\": {STEP_BATCHES},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"loopback CHAMWIRE round-trips on whatever host ran this; the \
-         routed cells pay one proxy hop plus a shadow-checkpoint refresh per mutation\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in cells.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"topology\": \"{}\", \"backends\": {}, \"routed\": {}, \
-             \"wall_s\": {:.4}, \"requests\": {}, \"requests_per_sec\": {:.2}, \
-             \"batches\": {}, \"shadow_refreshes\": {}, \"relative_to_direct\": {:.3}}}{}",
-            cell.label,
-            cell.backends,
-            cell.routed,
-            cell.wall_s,
-            cell.requests,
-            cell.requests_per_sec(),
-            cell.batches,
-            cell.route.map_or(0, |r| r.shadow_refreshes),
-            cell.requests_per_sec() / base.max(1e-9),
-            if i + 1 < cells.len() { "," } else { "" }
+    let doc = Object::block()
+        .str("dataset", dataset)
+        .num("sessions", SESSIONS)
+        .num("connections", CONNECTIONS)
+        .num("step_batches", STEP_BATCHES)
+        .str(
+            "note",
+            "loopback CHAMWIRE round-trips on whatever host ran this; the routed cells pay one \
+             proxy hop plus a shadow-checkpoint refresh per mutation",
+        )
+        .array(
+            "cells",
+            cells.iter().map(|cell| {
+                Object::inline()
+                    .str("topology", cell.label)
+                    .num("backends", cell.backends)
+                    .num("routed", cell.routed)
+                    .num("wall_s", format!("{:.4}", cell.wall_s))
+                    .num("requests", cell.requests)
+                    .num(
+                        "requests_per_sec",
+                        format!("{:.2}", cell.requests_per_sec()),
+                    )
+                    .num("batches", cell.batches)
+                    .num(
+                        "shadow_refreshes",
+                        cell.route.map_or(0, |r| r.shadow_refreshes),
+                    )
+                    .num(
+                        "relative_to_direct",
+                        format!("{:.3}", cell.requests_per_sec() / base.max(1e-9)),
+                    )
+            }),
         );
+    format!("{}\n", doc.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROUTE_THROUGHPUT_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "sessions": 8,
+  "connections": 4,
+  "step_batches": 4,
+  "note": "loopback CHAMWIRE round-trips on whatever host ran this; the routed cells pay one proxy hop plus a shadow-checkpoint refresh per mutation",
+  "cells": [
+    {"topology": "direct", "backends": 1, "routed": false, "wall_s": 0.4000, "requests": 120, "requests_per_sec": 300.00, "batches": 384, "shadow_refreshes": 0, "relative_to_direct": 1.000},
+    {"topology": "routed-2", "backends": 2, "routed": true, "wall_s": 0.9000, "requests": 120, "requests_per_sec": 133.33, "batches": 384, "shadow_refreshes": 96, "relative_to_direct": 0.444}
+  ]
+}
+"#;
+
+    #[test]
+    fn results_document_is_pinned() {
+        let cells = vec![
+            Cell {
+                label: "direct",
+                backends: 1,
+                routed: false,
+                wall_s: 0.4,
+                requests: 120,
+                batches: 384,
+                route: None,
+            },
+            Cell {
+                label: "routed-2",
+                backends: 2,
+                routed: true,
+                wall_s: 0.9,
+                requests: 120,
+                batches: 384,
+                route: Some(RouteCounters {
+                    shadow_refreshes: 96,
+                    ..RouteCounters::default()
+                }),
+            },
+        ];
+        assert_eq!(document("CORe50-tiny", &cells), ROUTE_THROUGHPUT_JSON);
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -15,16 +15,17 @@
 //!
 //! Usage: `cargo run --release -p chameleon-bench --bin serve_throughput`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chameleon_bench::report::Table;
-use chameleon_core::ChameleonConfig;
-use chameleon_fleet::{FleetConfig, SessionSpec};
+use chameleon_bench::report::{write_results, Table};
+use chameleon_bench::suite::skewed_user_spec;
+use chameleon_core::Precision;
+use chameleon_fleet::FleetConfig;
+use chameleon_obs::json::Object;
 use chameleon_serve::wire::StatsSnapshot;
 use chameleon_serve::{Connection, ServeConfig, Server};
-use chameleon_stream::{DatasetSpec, DomainIlScenario, PreferenceProfile, StreamConfig};
+use chameleon_stream::{DatasetSpec, DomainIlScenario};
 
 const CONNECTION_COUNTS: [usize; 3] = [1, 2, 4];
 const SESSIONS: u64 = 16;
@@ -47,33 +48,17 @@ impl Cell {
     }
 }
 
-fn user_spec(user: u64, num_classes: usize) -> SessionSpec {
-    let base = (user as usize * 3) % num_classes;
-    SessionSpec {
-        learner: ChameleonConfig {
-            long_term_capacity: 60,
-            ..ChameleonConfig::default()
-        },
-        stream: StreamConfig {
-            preference: PreferenceProfile::Skewed {
-                preferred: vec![base, (base + 1) % num_classes, (base + 2) % num_classes],
-                boost: 8.0,
-            },
-            ..StreamConfig::default()
-        },
-        learner_seed: user.wrapping_mul(31) ^ 5,
-        stream_seed: user.wrapping_add(0x5EED),
-    }
-}
-
 /// Drives this connection's stripe of sessions end to end; returns the
 /// number of requests issued.
 fn drive_stripe(addr: std::net::SocketAddr, users: Vec<u64>, num_classes: usize) -> u64 {
     let mut conn = Connection::connect(addr).expect("connect");
     let mut requests = 0u64;
     for &user in &users {
-        conn.create_session(user, user_spec(user, num_classes))
-            .expect("create session");
+        conn.create_session(
+            user,
+            skewed_user_spec(user, num_classes, 60, Precision::F32),
+        )
+        .expect("create session");
         requests += 1;
     }
     let mut live = users;
@@ -201,54 +186,93 @@ fn main() {
          shard workers saturate."
     );
 
-    let json = render_json(spec.name, &cells);
-    let path = "results/serve_throughput.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("  wrote {path}");
+    write_results("serve_throughput.json", &document(spec.name, &cells));
 }
 
-fn render_json(dataset: &str, cells: &[Cell]) -> String {
+fn document(dataset: &str, cells: &[Cell]) -> String {
     let base = cells[0].requests_per_sec();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"sessions\": {SESSIONS},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"step_batches\": {STEP_BATCHES},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"loopback CHAMWIRE round-trips on whatever host ran this; requests \
-         counted client-side, cross-checked against server counters\","
-    );
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in cells.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"connections\": {}, \"wall_s\": {:.4}, \"requests\": {}, \
-             \"requests_per_sec\": {:.2}, \"batches\": {}, \"frames_in\": {}, \
-             \"bytes_in\": {}, \"bytes_out\": {}, \"backpressure_replies\": {}, \
-             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \
-             \"speedup_vs_1_conn\": {:.3}}}{}",
-            cell.connections,
-            cell.wall_s,
-            cell.requests,
-            cell.requests_per_sec(),
-            cell.stats.batches,
-            cell.stats.serve.frames_in,
-            cell.stats.serve.bytes_in,
-            cell.stats.serve.bytes_out,
-            cell.stats.serve.backpressure_replies,
-            cell.stats.serve.latency.quantile_upper_us(0.50),
-            cell.stats.serve.latency.quantile_upper_us(0.99),
-            cell.requests_per_sec() / base.max(1e-9),
-            if i + 1 < cells.len() { "," } else { "" }
+    let doc = Object::block()
+        .str("dataset", dataset)
+        .num("sessions", SESSIONS)
+        .num("shards", SHARDS)
+        .num("workers", WORKERS)
+        .num("step_batches", STEP_BATCHES)
+        .str(
+            "note",
+            "loopback CHAMWIRE round-trips on whatever host ran this; requests counted \
+             client-side, cross-checked against server counters",
+        )
+        .array(
+            "cells",
+            cells.iter().map(|cell| {
+                let serve = &cell.stats.serve;
+                Object::inline()
+                    .num("connections", cell.connections)
+                    .num("wall_s", format!("{:.4}", cell.wall_s))
+                    .num("requests", cell.requests)
+                    .num(
+                        "requests_per_sec",
+                        format!("{:.2}", cell.requests_per_sec()),
+                    )
+                    .num("batches", cell.stats.batches)
+                    .num("frames_in", serve.frames_in)
+                    .num("bytes_in", serve.bytes_in)
+                    .num("bytes_out", serve.bytes_out)
+                    .num("backpressure_replies", serve.backpressure_replies)
+                    .num("latency_p50_us", serve.latency.quantile_upper_us(0.50))
+                    .num("latency_p99_us", serve.latency.quantile_upper_us(0.99))
+                    .num(
+                        "speedup_vs_1_conn",
+                        format!("{:.3}", cell.requests_per_sec() / base.max(1e-9)),
+                    )
+            }),
         );
+    format!("{}\n", doc.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SERVE_THROUGHPUT_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "sessions": 16,
+  "shards": 4,
+  "workers": 4,
+  "step_batches": 4,
+  "note": "loopback CHAMWIRE round-trips on whatever host ran this; requests counted client-side, cross-checked against server counters",
+  "cells": [
+    {"connections": 1, "wall_s": 0.8000, "requests": 230, "requests_per_sec": 287.50, "batches": 768, "frames_in": 230, "bytes_in": 41000, "bytes_out": 9000000, "backpressure_replies": 0, "latency_p50_us": 512, "latency_p99_us": 4096, "speedup_vs_1_conn": 1.000},
+    {"connections": 2, "wall_s": 0.5000, "requests": 230, "requests_per_sec": 460.00, "batches": 768, "frames_in": 230, "bytes_in": 41000, "bytes_out": 9000000, "backpressure_replies": 1, "latency_p50_us": 1024, "latency_p99_us": 8192, "speedup_vs_1_conn": 1.600},
+    {"connections": 4, "wall_s": 0.4500, "requests": 230, "requests_per_sec": 511.11, "batches": 768, "frames_in": 230, "bytes_in": 41000, "bytes_out": 9000000, "backpressure_replies": 3, "latency_p50_us": 2048, "latency_p99_us": 16384, "speedup_vs_1_conn": 1.778}
+  ]
+}
+"#;
+
+    #[test]
+    fn results_document_is_pinned() {
+        let cell = |connections: usize, wall_s: f64| {
+            let mut stats = StatsSnapshot {
+                batches: 768,
+                ..StatsSnapshot::default()
+            };
+            stats.serve.frames_in = 230;
+            stats.serve.bytes_in = 41_000;
+            stats.serve.bytes_out = 9_000_000;
+            stats.serve.backpressure_replies = connections as u64 - 1;
+            for micros in [90, 400, 400, 3_000] {
+                stats.serve.latency.record(std::time::Duration::from_micros(
+                    micros * connections as u64,
+                ));
+            }
+            Cell {
+                connections,
+                wall_s,
+                requests: 230,
+                stats,
+            }
+        };
+        let cells = vec![cell(1, 0.8), cell(2, 0.5), cell(4, 0.45)];
+        assert_eq!(document("CORe50-tiny", &cells), SERVE_THROUGHPUT_JSON);
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -112,6 +112,18 @@ pub fn fmt_or_dash(v: f64, decimals: usize) -> String {
     }
 }
 
+/// Writes a bench's JSON document to `results/<file>` under the working
+/// directory (run from the repo root to update the committed artifact),
+/// exiting the process with status 1 if it cannot.
+pub fn write_results(file: &str, json: &str) {
+    let path = format!("results/{file}");
+    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("  wrote {path}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,42 @@
-//! Strategy registry and run configuration shared by the table generators.
+//! Strategy registry and run configuration shared by the table generators
+//! and the fleet/serve/route/balance benches.
 
 use chameleon_core::{
     Chameleon, ChameleonConfig, Der, DerConfig, Er, EwcConfig, EwcPlusPlus, Finetune, Gss,
-    GssConfig, Joint, JointConfig, LatentReplay, Lwf, LwfConfig, ModelConfig, Slda, SldaConfig,
-    Strategy,
+    GssConfig, Joint, JointConfig, LatentReplay, Lwf, LwfConfig, ModelConfig, Precision, Slda,
+    SldaConfig, Strategy,
 };
+use chameleon_fleet::SessionSpec;
+use chameleon_stream::{PreferenceProfile, StreamConfig};
+
+/// The per-user session the fleet, serve, route and balance benches
+/// drive: Chameleon with `long_term_capacity` at `precision`, over a
+/// stream skewed 8x toward the three classes from `3 * user` on, with
+/// seeds derived from the user id.
+pub fn skewed_user_spec(
+    user: u64,
+    num_classes: usize,
+    long_term_capacity: usize,
+    precision: Precision,
+) -> SessionSpec {
+    let base = (user as usize * 3) % num_classes;
+    SessionSpec {
+        learner: ChameleonConfig {
+            long_term_capacity,
+            precision,
+            ..ChameleonConfig::default()
+        },
+        stream: StreamConfig {
+            preference: PreferenceProfile::Skewed {
+                preferred: vec![base, (base + 1) % num_classes, (base + 2) % num_classes],
+                boost: 8.0,
+            },
+            ..StreamConfig::default()
+        },
+        learner_seed: user.wrapping_mul(31) ^ 5,
+        stream_seed: user.wrapping_add(0x5EED),
+    }
+}
 
 /// A named strategy configuration as it appears in a table row.
 #[derive(Clone, Debug, PartialEq)]

@@ -14,6 +14,7 @@ use chameleon_fleet::{
     FleetConfig, FleetEngine, SessionCommand, SessionEventKind, SessionSpec as FleetSessionSpec,
 };
 use chameleon_hw::{Device, JetsonNano, NominalModel, SystolicAccelerator, Workload, Zcu102};
+use chameleon_obs::json::Object;
 use chameleon_route::{Router, RouterConfig};
 use chameleon_serve::wire::StatsSnapshot;
 use chameleon_serve::{Connection, ServeConfig, ServeCounters, Server};
@@ -598,21 +599,25 @@ fn fleet(options: &Options) -> Result<(), String> {
     let metrics = engine.metrics();
 
     if options.has_flag("json") {
+        let users = reports
+            .iter()
+            .map(|(user, report)| (*user, engine.shard_of(*user), report.acc_all))
+            .collect();
         println!(
             "{}",
-            fleet_json(
-                spec.name,
+            fleet_document(&FleetSummary {
+                dataset: spec.name,
                 sessions,
-                wall.as_secs_f64(),
-                mean,
-                &reports,
-                &engine,
-                &metrics,
-                recovery.as_ref(),
-                balancer.as_ref().map(|b| b.counters()),
-                &learner,
-                spec.num_classes,
-            )
+                wall_s: wall.as_secs_f64(),
+                mean_acc: mean,
+                users,
+                metrics: &metrics,
+                recovery: recovery.as_ref(),
+                balance: balancer.as_ref().map(|b| b.counters()),
+                store: engine.store_counters(),
+                learner: &learner,
+                num_classes: spec.num_classes,
+            })
         );
         return Ok(());
     }
@@ -706,182 +711,105 @@ fn per_user_spec(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fleet_json(
-    dataset: &str,
+/// Everything `fleet --json` reports, as plain data.
+struct FleetSummary<'a> {
+    dataset: &'a str,
     sessions: u64,
     wall_s: f64,
     mean_acc: f64,
-    reports: &[(u64, EvalReport)],
-    engine: &FleetEngine,
-    metrics: &chameleon_fleet::FleetMetrics,
-    recovery: Option<&chameleon_fleet::RecoveryReport>,
+    /// `(user, shard, acc_all)` per session, in user order.
+    users: Vec<(u64, usize, f32)>,
+    metrics: &'a chameleon_fleet::FleetMetrics,
+    recovery: Option<&'a chameleon_fleet::RecoveryReport>,
     balance: Option<chameleon_balance::BalanceCounters>,
-    learner: &ChameleonConfig,
+    store: Option<chameleon_store::StoreCounters>,
+    learner: &'a ChameleonConfig,
     num_classes: usize,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"dataset\": \"{dataset}\",");
-    let _ = writeln!(out, "  \"sessions\": {sessions},");
-    let _ = writeln!(out, "  \"shards\": {},", metrics.per_shard.len());
-    let _ = writeln!(out, "  \"wall_s\": {wall_s:.4},");
-    let _ = writeln!(out, "  \"mean_acc_all\": {mean_acc:.4},");
-    let _ = writeln!(out, "  \"batches\": {},", metrics.batches());
-    let _ = writeln!(out, "  \"evictions\": {},", metrics.evictions());
-    let _ = writeln!(out, "  \"restores\": {},", metrics.restores());
+}
+
+fn fleet_document(summary: &FleetSummary) -> String {
+    let metrics = summary.metrics;
     // Latent-codec accounting: per-session nominal footprint at the
     // configured precision versus unquantized pricing, plus the
     // serialized size of one nominal latent (the >=3x shrink claim is
     // packed-int8 bytes versus f32-serialized bytes).
+    let learner = summary.learner;
     let precision = learner.precision;
-    let shapes = chameleon_stream::shapes::NominalShapes::for_classes(num_classes);
+    let shapes = chameleon_stream::shapes::NominalShapes::for_classes(summary.num_classes);
     let price_mb = |n: usize| match precision {
         Precision::F32 | Precision::F16 => shapes.latent_mb(n),
         Precision::Int8 => shapes.latent_packed_mb(n, 1, 8),
     };
-    let capacities = learner.short_term_capacity + learner.long_term_capacity;
-    let session_mb = price_mb(learner.short_term_capacity) + price_mb(learner.long_term_capacity);
-    let nominal_mb = shapes.latent_mb(capacities);
+    let bytes = |mb: f64| (mb * 1024.0 * 1024.0).ceil() as u64;
+    let (st, lt) = (learner.short_term_capacity, learner.long_term_capacity);
     let elems = shapes.latent_elems();
     let latent_bytes = precision.packed_len(elems);
     let latent_bytes_f32 = Precision::F32.packed_len(elems);
-    let _ = writeln!(out, "  \"precision\": \"{precision}\",");
-    let _ = writeln!(
-        out,
-        "  \"session_bytes\": {},",
-        (session_mb * 1024.0 * 1024.0).ceil() as u64
-    );
-    let _ = writeln!(
-        out,
-        "  \"session_bytes_nominal\": {},",
-        (nominal_mb * 1024.0 * 1024.0).ceil() as u64
-    );
-    let _ = writeln!(
-        out,
-        "  \"codec_bytes_saved\": {},",
-        metrics.codec_bytes_saved()
-    );
-    let _ = writeln!(out, "  \"latent_bytes_per_sample\": {latent_bytes},");
-    let _ = writeln!(
-        out,
-        "  \"latent_bytes_per_sample_f32\": {latent_bytes_f32},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"latent_shrink\": {:.2},",
-        latent_bytes_f32 as f64 / latent_bytes as f64
-    );
-    if let Some(c) = balance {
-        for (name, value) in c.named() {
-            let _ = writeln!(out, "  \"{name}\": {value},");
-        }
-    }
-    if let Some(report) = recovery {
-        let _ = writeln!(
-            out,
-            "  \"sessions_recovered\": {},",
-            report.sessions_recovered
+    let mut doc = Object::block()
+        .str("dataset", summary.dataset)
+        .num("sessions", summary.sessions)
+        .num("shards", metrics.per_shard.len())
+        .num("wall_s", format!("{:.4}", summary.wall_s))
+        .num("mean_acc_all", format!("{:.4}", summary.mean_acc))
+        .num("batches", metrics.batches())
+        .num("evictions", metrics.evictions())
+        .num("restores", metrics.restores())
+        .str("precision", precision)
+        .num("session_bytes", bytes(price_mb(st) + price_mb(lt)))
+        .num("session_bytes_nominal", bytes(shapes.latent_mb(st + lt)))
+        .num("codec_bytes_saved", metrics.codec_bytes_saved())
+        .num("latent_bytes_per_sample", latent_bytes)
+        .num("latent_bytes_per_sample_f32", latent_bytes_f32)
+        .num(
+            "latent_shrink",
+            format!("{:.2}", latent_bytes_f32 as f64 / latent_bytes as f64),
         );
-        let _ = writeln!(
-            out,
-            "  \"store_decode_rejects\": {},",
-            report.decode_rejects
-        );
+    if let Some(c) = summary.balance {
+        doc = doc.nums("balance.", c.named());
     }
-    if let Some(s) = engine.store_counters() {
-        let _ = writeln!(
-            out,
-            "  \"store\": {{\"appends\": {}, \"append_bytes\": {}, \"fsyncs\": {}, \
-             \"rotations\": {}, \"compactions\": {}, \"torn_truncations\": {}, \
-             \"decode_rejects\": {}, \"short_reads\": {}, \"segments\": {}, \
-             \"live_records\": {}}},",
-            s.appends,
-            s.append_bytes,
-            s.fsyncs,
-            s.rotations,
-            s.compactions,
-            s.torn_truncations,
-            s.decode_rejects,
-            s.short_reads,
-            s.segments,
-            s.live_records
-        );
+    if let Some(report) = summary.recovery {
+        doc = doc
+            .num("sessions_recovered", report.sessions_recovered)
+            .num("store_decode_rejects", report.decode_rejects);
     }
-    let _ = writeln!(out, "  \"users\": [");
-    for (i, (user, report)) in reports.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"user\": {user}, \"shard\": {}, \"acc_all\": {:.4}}}{}",
-            engine.shard_of(*user),
-            report.acc_all,
-            if i + 1 < reports.len() { "," } else { "" }
-        );
+    if let Some(s) = &summary.store {
+        doc = doc.object("store", Object::inline().nums("", s.named()));
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"per_shard\": [");
-    for (i, shard) in metrics.per_shard.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"shard\": {}, \"resident\": {}, \"cold\": {}, \"batches\": {}, \
-             \"evictions\": {}, \"restores\": {}}}{}",
-            shard.shard,
-            shard.sessions_resident,
-            shard.sessions_cold,
-            shard.batches,
-            shard.evictions,
-            shard.restores,
-            if i + 1 < metrics.per_shard.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
+    doc.array(
+        "users",
+        summary.users.iter().map(|(user, shard, acc_all)| {
+            Object::inline()
+                .num("user", user)
+                .num("shard", shard)
+                .num("acc_all", format!("{acc_all:.4}"))
+        }),
+    )
+    .array(
+        "per_shard",
+        metrics.per_shard.iter().map(|shard| {
+            Object::inline()
+                .num("shard", shard.shard)
+                .num("resident", shard.sessions_resident)
+                .num("cold", shard.sessions_cold)
+                .num("batches", shard.batches)
+                .num("evictions", shard.evictions)
+                .num("restores", shard.restores)
+        }),
+    )
+    .render()
 }
 
-/// JSON object body (no braces) of the serving-layer counters, shared by
-/// `serve --json` and `loadgen --json` so CI can grep one shape.
-fn counters_json(c: &ServeCounters, indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{indent}\"connections_accepted\": {},",
-        c.connections_accepted
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"connections_closed\": {},",
-        c.connections_closed
-    );
-    let _ = writeln!(out, "{indent}\"frames_in\": {},", c.frames_in);
-    let _ = writeln!(out, "{indent}\"frames_out\": {},", c.frames_out);
-    let _ = writeln!(out, "{indent}\"bytes_in\": {},", c.bytes_in);
-    let _ = writeln!(out, "{indent}\"bytes_out\": {},", c.bytes_out);
-    let _ = writeln!(out, "{indent}\"decode_rejects\": {},", c.decode_rejects);
-    let _ = writeln!(
-        out,
-        "{indent}\"backpressure_replies\": {},",
-        c.backpressure_replies
-    );
-    let _ = writeln!(out, "{indent}\"requests_ok\": {},", c.requests_ok);
-    let _ = writeln!(out, "{indent}\"requests_failed\": {},", c.requests_failed);
-    let _ = writeln!(
-        out,
-        "{indent}\"latency_p50_us\": {},",
-        c.latency.quantile_upper_us(0.5)
-    );
-    let _ = write!(
-        out,
-        "{indent}\"latency_p99_us\": {}",
-        c.latency.quantile_upper_us(0.99)
-    );
-    out
+/// The serving-layer counters as one block object, shared by `serve
+/// --json` and each `loadgen --json` target so CI can grep one shape.
+fn serve_object(c: &ServeCounters) -> Object {
+    Object::block()
+        .nums("", c.named())
+        .num("latency_p50_us", c.latency.quantile_upper_us(0.5))
+        .num("latency_p99_us", c.latency.quantile_upper_us(0.99))
+}
+
+fn serve_document(c: &ServeCounters) -> String {
+    serve_object(c).render()
 }
 
 fn print_serve_counters(c: &ServeCounters) {
@@ -1005,73 +933,30 @@ fn serve(options: &Options) -> Result<(), String> {
     server.shutdown();
     let counters = server.metrics();
     if options.has_flag("json") {
-        println!("{{\n{}\n}}", counters_json(&counters, "  "));
+        println!("{}", serve_document(&counters));
     } else {
         print_serve_counters(&counters);
     }
     Ok(())
 }
 
-/// JSON object body (no braces) of the routing-tier counters, so CI can
-/// grep `"route.sessions_handed_off"` and `"route.decode_rejects"`.
-fn route_counters_json(c: &chameleon_route::RouteCounters, indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{indent}\"route.requests_in\": {},", c.requests_in);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.requests_forwarded\": {},",
-        c.requests_forwarded
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.forward_failures\": {},",
-        c.forward_failures
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.sessions_handed_off\": {},",
-        c.sessions_handed_off
-    );
-    let _ = writeln!(out, "{indent}\"route.failovers\": {},", c.failovers);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.failover_replays_skipped\": {},",
-        c.failover_replays_skipped
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.decode_rejects\": {},",
-        c.decode_rejects
-    );
-    let _ = writeln!(out, "{indent}\"route.probes_ok\": {},", c.probes_ok);
-    let _ = writeln!(out, "{indent}\"route.probes_failed\": {},", c.probes_failed);
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadow_refreshes\": {},",
-        c.shadow_refreshes
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadow_refresh_failures\": {},",
-        c.shadow_refresh_failures
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.pins_recovered\": {},",
-        c.pins_recovered
-    );
-    let _ = writeln!(
-        out,
-        "{indent}\"route.shadows_recovered\": {},",
-        c.shadows_recovered
-    );
-    let _ = write!(
-        out,
-        "{indent}\"route.state_append_failures\": {}",
-        c.state_append_failures
-    );
-    out
+/// `route --json`: final backend states, then every routing counter as
+/// `route.*`, so CI can grep `"route.sessions_handed_off"`.
+fn route_document(
+    states: &[(String, chameleon_route::BackendState)],
+    counters: &chameleon_route::RouteCounters,
+) -> String {
+    Object::block()
+        .array(
+            "backends",
+            states.iter().map(|(addr, state)| {
+                Object::inline()
+                    .str("addr", addr)
+                    .str("state", format!("{state:?}"))
+            }),
+        )
+        .nums("route.", counters.named())
+        .render()
 }
 
 /// Fronts N CHAMWIRE backends with a routing proxy until `--duration`
@@ -1144,21 +1029,7 @@ fn route(options: &Options) -> Result<(), String> {
     router.shutdown();
 
     if options.has_flag("json") {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"backends\": [");
-        for (i, (addr, state)) in states.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"addr\": \"{addr}\", \"state\": \"{state:?}\"}}{}",
-                if i + 1 < states.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "{}", route_counters_json(&counters, "  "));
-        let _ = write!(out, "}}");
-        println!("{out}");
+        println!("{}", route_document(&states, &counters));
     } else {
         println!(
             "route: {} requests in, {} forwarded, {} forward failures, {} decode rejects",
@@ -1421,53 +1292,25 @@ fn loadgen(options: &Options) -> Result<(), String> {
     };
 
     if options.has_flag("json") {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"connections\": {connections},");
-        let _ = writeln!(out, "  \"sessions\": {sessions},");
-        let _ = writeln!(out, "  \"requests\": {requests},");
-        let _ = writeln!(out, "  \"wall_s\": {wall:.4},");
-        let _ = writeln!(
-            out,
-            "  \"requests_per_sec\": {:.2},",
-            requests as f64 / wall.max(1e-9)
-        );
-        let _ = writeln!(out, "  \"batches\": {batches},");
-        let _ = writeln!(out, "  \"evictions\": {evictions},");
-        if let Some(name) = &shape_name {
-            let _ = writeln!(out, "  \"shape\": \"{name}\",");
-            let _ = writeln!(out, "  \"shape.draws\": {draws},");
-            let _ = writeln!(out, "  \"shape.hot_draws\": {hot_draws},");
-        }
-        let _ = writeln!(out, "  \"balance.migrations_total\": {migrations},");
-        let _ = writeln!(out, "  \"balance.rebalance_ticks\": {rebalance_ticks},");
-        let _ = writeln!(out, "  \"shard_step_ratio\": {shard_step_ratio:.2},");
-        let _ = writeln!(out, "  \"targets\": [");
-        for (i, ((addr, stats), reqs)) in targets
-            .iter()
-            .zip(&target_stats)
-            .zip(&target_requests)
-            .enumerate()
-        {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"addr\": \"{addr}\",");
-            let _ = writeln!(out, "      \"requests\": {reqs},");
-            let _ = writeln!(out, "      \"batches\": {},", stats.batches);
-            let _ = writeln!(
-                out,
-                "      \"serve\": {{\n{}\n      }}",
-                counters_json(&stats.serve, "        ")
-            );
-            let _ = writeln!(
-                out,
-                "    }}{}",
-                if i + 1 < targets.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = write!(out, "}}");
-        println!("{out}");
+        let summary = LoadgenSummary {
+            connections,
+            sessions,
+            requests,
+            wall_s: wall,
+            batches,
+            evictions,
+            shape: shape_name.as_deref().map(|name| (name, draws, hot_draws)),
+            migrations,
+            rebalance_ticks,
+            shard_step_ratio,
+            targets: targets
+                .iter()
+                .zip(&target_requests)
+                .zip(&target_stats)
+                .map(|((addr, reqs), stats)| (addr.as_str(), *reqs, stats))
+                .collect(),
+        };
+        println!("{}", loadgen_document(&summary));
     } else {
         println!(
             "loadgen: {requests} requests over {connections} connection(s) to {} target(s) \
@@ -1493,46 +1336,90 @@ fn loadgen(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// JSON document for one `Observation` — one object per span stage on
-/// its own line so CI can grep `"stage": "step", "count": <nonzero>`.
-fn observation_json(o: &chameleon_obs::Observation) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"spans\": [");
-    for (i, (stage, stats)) in o.spans.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"stage\": \"{stage}\", \"count\": {}, \"total_nanos\": {}, \
-             \"max_nanos\": {}, \"mean_nanos\": {}, \"p50_us\": {}, \"p99_us\": {}}}{}",
-            stats.count,
-            stats.total_nanos,
-            stats.max_nanos,
-            stats.mean_nanos(),
-            stats.histogram.quantile_upper_us(0.5),
-            stats.histogram.quantile_upper_us(0.99),
-            if i + 1 < o.spans.len() { "," } else { "" }
-        );
+/// Everything `loadgen --json` reports, as plain data.
+struct LoadgenSummary<'a> {
+    connections: usize,
+    sessions: u64,
+    requests: u64,
+    wall_s: f64,
+    batches: u64,
+    evictions: u64,
+    /// `(name, draws, hot_draws)` when `--shape` shaped the traffic.
+    shape: Option<(&'a str, u64, u64)>,
+    migrations: u64,
+    rebalance_ticks: u64,
+    shard_step_ratio: f64,
+    /// `(addr, requests sent, server stats)` per target.
+    targets: Vec<(&'a str, u64, &'a StatsSnapshot)>,
+}
+
+fn loadgen_document(summary: &LoadgenSummary) -> String {
+    let mut doc = Object::block()
+        .num("connections", summary.connections)
+        .num("sessions", summary.sessions)
+        .num("requests", summary.requests)
+        .num("wall_s", format!("{:.4}", summary.wall_s))
+        .num(
+            "requests_per_sec",
+            format!("{:.2}", summary.requests as f64 / summary.wall_s.max(1e-9)),
+        )
+        .num("batches", summary.batches)
+        .num("evictions", summary.evictions);
+    if let Some((name, draws, hot_draws)) = summary.shape {
+        doc = doc
+            .str("shape", name)
+            .num("shape.draws", draws)
+            .num("shape.hot_draws", hot_draws);
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"events\": {{\"logged\": {}, \"dropped\": {}, \"retained\": {}}},",
-        o.events.next_seq,
-        o.events.dropped,
-        o.events.recent.len()
-    );
-    let _ = writeln!(out, "  \"counters\": {{");
-    for (i, (name, value)) in o.counters.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    \"{name}\": {value}{}",
-            if i + 1 < o.counters.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  }}");
-    let _ = write!(out, "}}");
-    out
+    doc.num("balance.migrations_total", summary.migrations)
+        .num("balance.rebalance_ticks", summary.rebalance_ticks)
+        .num(
+            "shard_step_ratio",
+            format!("{:.2}", summary.shard_step_ratio),
+        )
+        .array(
+            "targets",
+            summary.targets.iter().map(|(addr, requests, stats)| {
+                Object::block()
+                    .str("addr", addr)
+                    .num("requests", requests)
+                    .num("batches", stats.batches)
+                    .object("serve", serve_object(&stats.serve))
+            }),
+        )
+        .render()
+}
+
+/// `stats --json`: one inline object per span stage on its own line, so
+/// CI can grep `"stage": "step", "count": <nonzero>`, then the event
+/// accounting and every counter.
+fn stats_document(o: &chameleon_obs::Observation) -> String {
+    Object::block()
+        .array(
+            "spans",
+            o.spans.iter().map(|(stage, stats)| {
+                Object::inline()
+                    .str("stage", stage)
+                    .num("count", stats.count)
+                    .num("total_nanos", stats.total_nanos)
+                    .num("max_nanos", stats.max_nanos)
+                    .num("mean_nanos", stats.mean_nanos())
+                    .num("p50_us", stats.histogram.quantile_upper_us(0.5))
+                    .num("p99_us", stats.histogram.quantile_upper_us(0.99))
+            }),
+        )
+        .object(
+            "events",
+            Object::inline()
+                .num("logged", o.events.next_seq)
+                .num("dropped", o.events.dropped)
+                .num("retained", o.events.recent.len()),
+        )
+        .object(
+            "counters",
+            Object::block().nums("", o.counters.iter().map(|(n, v)| (n, v))),
+        )
+        .render()
 }
 
 fn print_observation(o: &chameleon_obs::Observation) {
@@ -1593,7 +1480,7 @@ fn stats(options: &Options) -> Result<(), String> {
     for poll in 0..polls {
         let observation = conn.observe().map_err(|e| format!("observe: {e}"))?;
         if json {
-            println!("{}", observation_json(&observation));
+            println!("{}", stats_document(&observation));
         } else if expo {
             print!("{}", chameleon_obs::expose(&observation));
         } else {
@@ -2231,6 +2118,385 @@ mod tests {
         assert!(dispatch(&toks(&["loadgen", "--balance", "bogus"])).is_err());
     }
 
+    // Byte-exact snapshots of every `--json` document, fed fixed inputs.
+    // CI greps these shapes, so any drift is a format change.
+
+    fn fixed_serve_counters(scale: u64) -> ServeCounters {
+        let mut latency = chameleon_obs::LatencyHistogram::default();
+        for micros in [3, 40, 40, 900] {
+            latency.record(std::time::Duration::from_micros(micros * scale));
+        }
+        ServeCounters {
+            connections_accepted: scale,
+            connections_closed: scale + 1,
+            frames_in: 100 * scale,
+            frames_out: 99 * scale,
+            bytes_in: 4096 * scale,
+            bytes_out: 8192 * scale,
+            decode_rejects: 0,
+            backpressure_replies: 2,
+            requests_ok: 97 * scale,
+            requests_failed: 1,
+            latency,
+        }
+    }
+
+    fn fixed_fleet_metrics() -> chameleon_fleet::FleetMetrics {
+        let shard = |shard: usize, batches: u64| chameleon_fleet::ShardMetrics {
+            shard,
+            sessions_resident: 2,
+            sessions_cold: shard,
+            batches,
+            evictions: 3 + shard as u64,
+            restores: 2,
+            codec_bytes_saved: 1000 + batches,
+            ..Default::default()
+        };
+        chameleon_fleet::FleetMetrics {
+            per_shard: vec![shard(0, 40), shard(1, 36)],
+        }
+    }
+
+    const FLEET_JSON: &str = r#"{
+  "dataset": "CORe50-tiny",
+  "sessions": 3,
+  "shards": 2,
+  "wall_s": 1.2346,
+  "mean_acc_all": 41.5000,
+  "batches": 76,
+  "evictions": 7,
+  "restores": 4,
+  "precision": "int8",
+  "session_bytes": 687531,
+  "session_bytes_nominal": 1374390,
+  "codec_bytes_saved": 2076,
+  "latent_bytes_per_sample": 16397,
+  "latent_bytes_per_sample_f32": 65541,
+  "latent_shrink": 4.00,
+  "balance.rebalance_ticks": 5,
+  "balance.migrations_total": 2,
+  "balance.migrations_skipped": 1,
+  "balance.migration_failures": 0,
+  "sessions_recovered": 3,
+  "store_decode_rejects": 1,
+  "users": [
+    {"user": 0, "shard": 0, "acc_all": 40.2500},
+    {"user": 1, "shard": 1, "acc_all": 42.7500},
+    {"user": 2, "shard": 0, "acc_all": 41.5000}
+  ],
+  "per_shard": [
+    {"shard": 0, "resident": 2, "cold": 0, "batches": 40, "evictions": 3, "restores": 2},
+    {"shard": 1, "resident": 2, "cold": 1, "batches": 36, "evictions": 4, "restores": 2}
+  ]
+}"#;
+
+    const FLEET_JSON_MINIMAL: &str = r#"{
+  "dataset": "CORe50",
+  "sessions": 0,
+  "shards": 0,
+  "wall_s": 0.0000,
+  "mean_acc_all": 0.0000,
+  "batches": 0,
+  "evictions": 0,
+  "restores": 0,
+  "precision": "f32",
+  "session_bytes": 1030793,
+  "session_bytes_nominal": 1030793,
+  "codec_bytes_saved": 0,
+  "latent_bytes_per_sample": 65541,
+  "latent_bytes_per_sample_f32": 65541,
+  "latent_shrink": 1.00,
+  "users": [
+  ],
+  "per_shard": [
+  ]
+}"#;
+
+    #[test]
+    fn fleet_document_is_pinned() {
+        let learner = chameleon_config_at(30, Precision::Int8).expect("config");
+        let metrics = fixed_fleet_metrics();
+        let recovery = chameleon_fleet::RecoveryReport {
+            sessions_recovered: 3,
+            decode_rejects: 1,
+        };
+        let summary = FleetSummary {
+            dataset: "CORe50-tiny",
+            sessions: 3,
+            wall_s: 1.234_56,
+            mean_acc: 41.5,
+            users: vec![(0, 0, 40.25), (1, 1, 42.75), (2, 0, 41.5)],
+            metrics: &metrics,
+            recovery: Some(&recovery),
+            balance: Some(chameleon_balance::BalanceCounters {
+                rebalance_ticks: 5,
+                migrations_total: 2,
+                migrations_skipped: 1,
+                migration_failures: 0,
+            }),
+            store: None,
+            learner: &learner,
+            num_classes: 10,
+        };
+        assert_eq!(fleet_document(&summary), FLEET_JSON);
+        let learner = chameleon_config_at(20, Precision::F32).expect("config");
+        let empty = chameleon_fleet::FleetMetrics::default();
+        let minimal = FleetSummary {
+            dataset: "CORe50",
+            sessions: 0,
+            wall_s: 0.0,
+            mean_acc: 0.0,
+            users: Vec::new(),
+            metrics: &empty,
+            recovery: None,
+            balance: None,
+            store: None,
+            learner: &learner,
+            num_classes: 50,
+        };
+        assert_eq!(fleet_document(&minimal), FLEET_JSON_MINIMAL);
+    }
+
+    #[test]
+    fn fleet_document_reports_every_store_counter_in_struct_order() {
+        let learner = chameleon_config_at(20, Precision::F32).expect("config");
+        let metrics = chameleon_fleet::FleetMetrics::default();
+        let store = chameleon_store::StoreCounters {
+            appends: 1,
+            append_bytes: 2,
+            fsyncs: 3,
+            rotations: 4,
+            compactions: 5,
+            torn_truncations: 6,
+            truncated_bytes: 7,
+            decode_rejects: 8,
+            short_reads: 9,
+            sessions_recovered: 10,
+            segments: 11,
+            live_records: 12,
+            dead_bytes: 13,
+        };
+        let summary = FleetSummary {
+            dataset: "CORe50",
+            sessions: 0,
+            wall_s: 0.0,
+            mean_acc: 0.0,
+            users: Vec::new(),
+            metrics: &metrics,
+            recovery: None,
+            balance: None,
+            store: Some(store),
+            learner: &learner,
+            num_classes: 50,
+        };
+        let doc = fleet_document(&summary);
+        let line = doc
+            .lines()
+            .find(|l| l.starts_with("  \"store\": "))
+            .expect("store line");
+        assert_eq!(
+            line,
+            "  \"store\": {\"appends\": 1, \"append_bytes\": 2, \"fsyncs\": 3, \"rotations\": 4, \
+             \"compactions\": 5, \"torn_truncations\": 6, \"truncated_bytes\": 7, \
+             \"decode_rejects\": 8, \"short_reads\": 9, \"sessions_recovered\": 10, \
+             \"segments\": 11, \"live_records\": 12, \"dead_bytes\": 13},"
+        );
+    }
+
+    const SERVE_JSON: &str = r#"{
+  "connections_accepted": 1,
+  "connections_closed": 2,
+  "frames_in": 100,
+  "frames_out": 99,
+  "bytes_in": 4096,
+  "bytes_out": 8192,
+  "decode_rejects": 0,
+  "backpressure_replies": 2,
+  "requests_ok": 97,
+  "requests_failed": 1,
+  "latency_p50_us": 64,
+  "latency_p99_us": 1024
+}"#;
+
+    #[test]
+    fn serve_document_is_pinned() {
+        assert_eq!(serve_document(&fixed_serve_counters(1)), SERVE_JSON);
+    }
+
+    const ROUTE_JSON: &str = r#"{
+  "backends": [
+    {"addr": "127.0.0.1:7411", "state": "Dead"},
+    {"addr": "127.0.0.1:7412", "state": "Healthy"}
+  ],
+  "route.requests_in": 120,
+  "route.requests_forwarded": 118,
+  "route.forward_failures": 1,
+  "route.sessions_handed_off": 4,
+  "route.failovers": 2,
+  "route.failover_replays_skipped": 1,
+  "route.decode_rejects": 0,
+  "route.probes_ok": 300,
+  "route.probes_failed": 7,
+  "route.shadow_refreshes": 60,
+  "route.shadow_refresh_failures": 1,
+  "route.pins_recovered": 6,
+  "route.shadows_recovered": 5,
+  "route.state_append_failures": 0
+}"#;
+
+    #[test]
+    fn route_document_is_pinned() {
+        use chameleon_route::BackendState;
+        let counters = chameleon_route::RouteCounters {
+            requests_in: 120,
+            requests_forwarded: 118,
+            forward_failures: 1,
+            sessions_handed_off: 4,
+            failovers: 2,
+            failover_replays_skipped: 1,
+            decode_rejects: 0,
+            probes_ok: 300,
+            probes_failed: 7,
+            shadow_refreshes: 60,
+            shadow_refresh_failures: 1,
+            pins_recovered: 6,
+            shadows_recovered: 5,
+            state_append_failures: 0,
+        };
+        let states = vec![
+            ("127.0.0.1:7411".to_string(), BackendState::Dead),
+            ("127.0.0.1:7412".to_string(), BackendState::Healthy),
+        ];
+        assert_eq!(route_document(&states, &counters), ROUTE_JSON);
+    }
+
+    const LOADGEN_JSON: &str = r#"{
+  "connections": 3,
+  "sessions": 6,
+  "requests": 150,
+  "wall_s": 0.7500,
+  "requests_per_sec": 200.00,
+  "batches": 144,
+  "evictions": 4,
+  "shape": "zipf:1.1",
+  "shape.draws": 130,
+  "shape.hot_draws": 97,
+  "balance.migrations_total": 3,
+  "balance.rebalance_ticks": 12,
+  "shard_step_ratio": 1.50,
+  "targets": [
+    {
+      "addr": "127.0.0.1:7411",
+      "requests": 50,
+      "batches": 48,
+      "serve": {
+        "connections_accepted": 1,
+        "connections_closed": 2,
+        "frames_in": 100,
+        "frames_out": 99,
+        "bytes_in": 4096,
+        "bytes_out": 8192,
+        "decode_rejects": 0,
+        "backpressure_replies": 2,
+        "requests_ok": 97,
+        "requests_failed": 1,
+        "latency_p50_us": 64,
+        "latency_p99_us": 1024
+      }
+    },
+    {
+      "addr": "127.0.0.1:7412",
+      "requests": 100,
+      "batches": 96,
+      "serve": {
+        "connections_accepted": 2,
+        "connections_closed": 3,
+        "frames_in": 200,
+        "frames_out": 198,
+        "bytes_in": 8192,
+        "bytes_out": 16384,
+        "decode_rejects": 0,
+        "backpressure_replies": 2,
+        "requests_ok": 194,
+        "requests_failed": 1,
+        "latency_p50_us": 128,
+        "latency_p99_us": 2048
+      }
+    }
+  ]
+}"#;
+
+    #[test]
+    fn loadgen_document_is_pinned() {
+        let stats = |scale: u64| StatsSnapshot {
+            batches: 48 * scale,
+            serve: fixed_serve_counters(scale),
+            ..StatsSnapshot::default()
+        };
+        let (a, b) = (stats(1), stats(2));
+        let summary = LoadgenSummary {
+            connections: 3,
+            sessions: 6,
+            requests: 150,
+            wall_s: 0.75,
+            batches: 144,
+            evictions: 4,
+            shape: Some(("zipf:1.1", 130, 97)),
+            migrations: 3,
+            rebalance_ticks: 12,
+            shard_step_ratio: 1.5,
+            targets: vec![("127.0.0.1:7411", 50, &a), ("127.0.0.1:7412", 100, &b)],
+        };
+        assert_eq!(loadgen_document(&summary), LOADGEN_JSON);
+    }
+
+    const STATS_JSON: &str = r#"{
+  "spans": [
+    {"stage": "step", "count": 2, "total_nanos": 93000, "max_nanos": 90000, "mean_nanos": 46500, "p50_us": 4, "p99_us": 128},
+    {"stage": "checkpoint", "count": 0, "total_nanos": 0, "max_nanos": 0, "mean_nanos": 0, "p50_us": 0, "p99_us": 0},
+    {"stage": "restore", "count": 1, "total_nanos": 12000, "max_nanos": 12000, "mean_nanos": 12000, "p50_us": 16, "p99_us": 16},
+    {"stage": "eval", "count": 0, "total_nanos": 0, "max_nanos": 0, "mean_nanos": 0, "p50_us": 0, "p99_us": 0},
+    {"stage": "encode", "count": 0, "total_nanos": 0, "max_nanos": 0, "mean_nanos": 0, "p50_us": 0, "p99_us": 0},
+    {"stage": "decode", "count": 0, "total_nanos": 0, "max_nanos": 0, "mean_nanos": 0, "p50_us": 0, "p99_us": 0}
+  ],
+  "events": {"logged": 1, "dropped": 0, "retained": 1},
+  "counters": {
+    "fleet.batches": 7,
+    "serve.decode_rejects": 0
+  }
+}"#;
+
+    #[test]
+    fn stats_document_is_pinned() {
+        use chameleon_obs::{Observer, Stage};
+        use chameleon_runtime::VirtualClock;
+        let observer = Observer::new(VirtualClock::shared(1_000));
+        observer.record(Stage::Step, 3_000);
+        observer.record(Stage::Step, 90_000);
+        observer.record(Stage::Restore, 12_000);
+        observer.event("hello");
+        let mut observation = observer.observe();
+        observation.push_counter("fleet.batches", 7);
+        observation.push_counter("serve.decode_rejects", 0);
+        assert_eq!(stats_document(&observation), STATS_JSON);
+    }
+
+    #[test]
+    fn stats_document_escapes_counter_names_from_the_wire() {
+        use chameleon_serve::wire::Response;
+        let mut observation = chameleon_obs::Observation::default();
+        observation.push_counter("a\"b\\c\n", 7);
+        let payload = Response::Observed(Box::new(observation)).encode_payload(1);
+        let Ok((_, Response::Observed(observation))) = Response::decode_payload(&payload) else {
+            panic!("an observation round-trips the wire");
+        };
+        assert_eq!(
+            stats_document(&observation),
+            "{\n  \"spans\": [\n  ],\n  \"events\": {\"logged\": 0, \"dropped\": 0, \"retained\": 0},\n  \
+             \"counters\": {\n    \"a\\\"b\\\\c\\n\": 7\n  }\n}"
+        );
+    }
+
     #[test]
     fn stats_command_polls_a_live_server() {
         // Boot an in-process server, generate some traffic, then drive
@@ -2274,7 +2540,7 @@ mod tests {
         // The JSON document itself: step spans populated, shape greppable.
         let mut conn = Connection::connect(&addr).expect("reconnect");
         let observation = conn.observe().expect("observe");
-        let json = observation_json(&observation);
+        let json = stats_document(&observation);
         assert!(json.contains("\"stage\": \"step\""), "{json}");
         assert!(json.contains("\"fleet.batches\""), "{json}");
         let step_line = json

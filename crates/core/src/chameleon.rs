@@ -9,6 +9,14 @@ use chameleon_tensor::{ops, Matrix, Prng};
 
 use crate::{ModelConfig, PreferenceTracker, StepTrace, Strategy};
 
+/// Largest `short_term_capacity`, `long_term_capacity` or
+/// `long_term_batch` [`ChameleonConfig::validate`] accepts. Each sizes
+/// an up-front reservation, and a config can come from outside (a
+/// `Create` spec, a `Handoff` or store blob): a CRC-valid spec asking
+/// for ~2^32 slots would abort the process. 65,536 is over 40x the
+/// paper's largest long-term memory (1,500).
+pub const MAX_REPLAY_SLOTS: usize = 1 << 16;
+
 /// Hyperparameters of the Chameleon strategy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChameleonConfig {
@@ -102,17 +110,18 @@ impl ChameleonConfig {
     /// out of range. (NaN fails every range check.)
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |field, requirement| Err(ConfigError { field, requirement });
-        if self.short_term_capacity == 0 {
-            return err("short-term capacity", "must be positive");
+        let slots = "must be in [1, MAX_REPLAY_SLOTS]";
+        if !(1..=MAX_REPLAY_SLOTS).contains(&self.short_term_capacity) {
+            return err("short-term capacity", slots);
         }
-        if self.long_term_capacity == 0 {
-            return err("long-term capacity", "must be positive");
+        if !(1..=MAX_REPLAY_SLOTS).contains(&self.long_term_capacity) {
+            return err("long-term capacity", slots);
         }
         if self.long_term_period == 0 {
             return err("long-term period", "must be positive");
         }
-        if self.long_term_batch == 0 {
-            return err("long-term batch", "must be positive");
+        if !(1..=MAX_REPLAY_SLOTS).contains(&self.long_term_batch) {
+            return err("long-term batch", slots);
         }
         if self.top_k == 0 {
             return err("top-k", "must be positive");
@@ -1142,6 +1151,19 @@ mod tests {
         assert_eq!(err.field, "short-term capacity");
         assert!(err.to_string().contains("short-term capacity"));
         assert!(ChameleonConfig::default().validate().is_ok());
+        type Field = fn(&mut ChameleonConfig) -> &mut usize;
+        let bounded: [(&str, Field); 3] = [
+            ("short-term capacity", |c| &mut c.short_term_capacity),
+            ("long-term capacity", |c| &mut c.long_term_capacity),
+            ("long-term batch", |c| &mut c.long_term_batch),
+        ];
+        for (field, slot) in bounded {
+            let mut config = ChameleonConfig::default();
+            *slot(&mut config) = MAX_REPLAY_SLOTS;
+            assert!(config.validate().is_ok(), "{field} at the cap");
+            *slot(&mut config) = MAX_REPLAY_SLOTS + 1;
+            assert_eq!(config.validate().map_err(|e| e.field), Err(field));
+        }
     }
 
     /// Corrupts one stored feature in every sample the closure selects,

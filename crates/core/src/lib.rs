@@ -54,7 +54,7 @@ pub use baselines::{
 };
 pub use chameleon::{
     Chameleon, ChameleonConfig, ConfigError, LearnerCounters, LongTermPolicy, ResilienceReport,
-    ShortTermPolicy,
+    ShortTermPolicy, MAX_REPLAY_SLOTS,
 };
 pub use chameleon_replay::Precision;
 pub use metrics::{backward_transfer, confusion_matrix, EvalReport};

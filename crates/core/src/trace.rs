@@ -49,6 +49,27 @@ impl StepTrace {
         Self::default()
     }
 
+    /// Every counter by field name, in field order (observed as
+    /// `trace.*`).
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 13] {
+        [
+            ("inputs", self.inputs),
+            ("trunk_passes", self.trunk_passes),
+            ("head_fwd_passes", self.head_fwd_passes),
+            ("head_bwd_passes", self.head_bwd_passes),
+            ("onchip_sample_reads", self.onchip_sample_reads),
+            ("onchip_sample_writes", self.onchip_sample_writes),
+            ("offchip_latent_reads", self.offchip_latent_reads),
+            ("offchip_latent_writes", self.offchip_latent_writes),
+            ("offchip_raw_reads", self.offchip_raw_reads),
+            ("offchip_raw_writes", self.offchip_raw_writes),
+            ("covariance_updates", self.covariance_updates),
+            ("matrix_inversions", self.matrix_inversions),
+            ("inversion_dim", self.inversion_dim as u64),
+        ]
+    }
+
     /// Normalizes every counter by the number of inputs, yielding average
     /// events *per stream image* — the unit the paper's Table II reports.
     ///
@@ -124,6 +145,16 @@ pub struct PerInputTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<StepTrace>(),
+            8 * StepTrace::default().named().len()
+        );
+    }
 
     #[test]
     fn per_input_normalizes() {

@@ -541,6 +541,15 @@ mod tests {
         let (scenario, mut session) = tiny_session(4);
         session.step_batches(23);
         let ck = SessionCheckpoint::capture(&session);
+        let restored = ck.restore(Arc::clone(&scenario), None).expect("restore");
+        let again = SessionCheckpoint::capture(&restored);
+        assert_eq!(again.to_bytes(), ck.to_bytes());
+        // A finalized session sits past its last domain with no cursor,
+        // still counting the batches it drew from that domain.
+        let (_, mut session) = tiny_session(4);
+        while session.step_batch() {}
+        let ck = SessionCheckpoint::capture(&session);
+        assert!(ck.finalized && ck.batches_into_domain > 0);
         let restored = ck.restore(scenario, None).expect("restore");
         let again = SessionCheckpoint::capture(&restored);
         assert_eq!(again.to_bytes(), ck.to_bytes());
@@ -769,7 +778,7 @@ mod tests {
         session.step_batches(5);
         let good = SessionCheckpoint::capture(&session);
         type Forge = fn(&mut SessionCheckpoint);
-        let forgeries: [(&str, Forge); 11] = [
+        let forgeries: [(&str, Forge); 12] = [
             ("mid-domain past the last domain", |c| c.next_domain = 4),
             ("mid-domain far past the last domain", |c| {
                 c.next_domain = u32::MAX as usize
@@ -792,6 +801,9 @@ mod tests {
                 c.spec.learner.short_term_capacity = 0
             }),
             ("rho above one", |c| c.spec.learner.rho = 2.0),
+            ("2^32 short-term slots", |c| {
+                c.spec.learner.short_term_capacity = 1 << 32
+            }),
         ];
         for (what, forge) in forgeries {
             let mut bad = good.clone();

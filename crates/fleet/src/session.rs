@@ -303,7 +303,7 @@ impl UserSession {
             injector,
             cursor: None,
             next_domain: progress.next_domain,
-            batches_into_domain: 0,
+            batches_into_domain: progress.batches_into_domain,
             finalized: progress.finalized,
         };
         if progress.mid_domain && !progress.finalized {
@@ -331,7 +331,6 @@ impl UserSession {
                 }
             };
             session.cursor = Some(cursor);
-            session.batches_into_domain = progress.batches_into_domain;
         }
         session
     }

@@ -1049,7 +1049,7 @@ mod tests {
         }
         .expect("valid blob");
         type Forge = fn(&mut SessionCheckpoint);
-        let forgeries: [(&'static str, Forge); 4] = [
+        let forgeries: [(&'static str, Forge); 5] = [
             ("domain out of range", |c| c.next_domain = 4),
             ("2^63 batches into a domain", |c| {
                 c.batches_into_domain = 1 << 63
@@ -1057,6 +1057,9 @@ mod tests {
             ("zero batch size", |c| c.spec.stream.batch_size = 0),
             ("zero long-term period", |c| {
                 c.spec.learner.long_term_period = 0
+            }),
+            ("2^32 short-term slots", |c| {
+                c.spec.learner.short_term_capacity = 1 << 32
             }),
         ];
         forgeries

@@ -23,6 +23,10 @@
 //!   named counters the embedding layer fills in.
 //! * [`expose`] — a Prometheus-style text exposition of an
 //!   [`Observation`].
+//! * [`json`] — the workspace's one JSON text writer: block and inline
+//!   [`json::Object`]s, one-item-per-line arrays, escaped strings and
+//!   pre-formatted number tokens. Every `--json` document and
+//!   `results/*.json` file is rendered through it.
 //!
 //! # Example
 //!
@@ -44,6 +48,7 @@
 
 mod event;
 mod hist;
+pub mod json;
 mod observation;
 mod span;
 

@@ -46,6 +46,19 @@ impl Observation {
         self.counters.push((name.into(), value));
     }
 
+    /// Appends one counter per `(name, value)` pair, named
+    /// `{prefix}{name}` — how a layer's `named()` list enters the
+    /// observation under its prefix (`serve.`, `store.`, `route.`, …).
+    pub fn push_counters(
+        &mut self,
+        prefix: &str,
+        named: impl IntoIterator<Item = (&'static str, u64)>,
+    ) {
+        for (name, value) in named {
+            self.push_counter(format!("{prefix}{name}"), value);
+        }
+    }
+
     /// Folds another node's observation into this one, producing a
     /// fleet-wide view: per-stage span counts, totals, and histogram
     /// buckets are summed (max-of-max for the worst single span), named
@@ -183,6 +196,19 @@ mod tests {
         let mut observation = obs.observe();
         observation.push_counter("fleet.batches", 7);
         observation
+    }
+
+    #[test]
+    fn push_counters_prefixes_each_name_in_order() {
+        let mut o = Observation::default();
+        o.push_counters("route.state_", [("appends", 2), ("compactions", 1)]);
+        assert_eq!(
+            o.counters,
+            vec![
+                ("route.state_appends".to_string(), 2),
+                ("route.state_compactions".to_string(), 1)
+            ]
+        );
     }
 
     #[test]

@@ -199,6 +199,30 @@ pub struct RouteCounters {
     pub state_append_failures: u64,
 }
 
+impl RouteCounters {
+    /// Every counter by field name, in field order: the one list the
+    /// observation and `route --json` read (both as `route.*`).
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 14] {
+        [
+            ("requests_in", self.requests_in),
+            ("requests_forwarded", self.requests_forwarded),
+            ("forward_failures", self.forward_failures),
+            ("sessions_handed_off", self.sessions_handed_off),
+            ("failovers", self.failovers),
+            ("failover_replays_skipped", self.failover_replays_skipped),
+            ("decode_rejects", self.decode_rejects),
+            ("probes_ok", self.probes_ok),
+            ("probes_failed", self.probes_failed),
+            ("shadow_refreshes", self.shadow_refreshes),
+            ("shadow_refresh_failures", self.shadow_refresh_failures),
+            ("pins_recovered", self.pins_recovered),
+            ("shadows_recovered", self.shadows_recovered),
+            ("state_append_failures", self.state_append_failures),
+        ]
+    }
+}
+
 #[derive(Debug, Default)]
 struct RouteMetrics {
     requests_in: AtomicU64,
@@ -705,43 +729,21 @@ fn aggregate_observation(ctx: &Ctx) -> Response {
 /// the state log's self-counters.
 fn build_route_observation(shared: &Shared, obs: &Observer) -> Observation {
     let mut o = obs.observe();
-    let c = shared.metrics.snapshot();
-    o.push_counter("route.requests_in", c.requests_in);
-    o.push_counter("route.requests_forwarded", c.requests_forwarded);
-    o.push_counter("route.forward_failures", c.forward_failures);
-    o.push_counter("route.sessions_handed_off", c.sessions_handed_off);
-    o.push_counter("route.failovers", c.failovers);
-    o.push_counter("route.failover_replays_skipped", c.failover_replays_skipped);
-    o.push_counter("route.decode_rejects", c.decode_rejects);
-    o.push_counter("route.probes_ok", c.probes_ok);
-    o.push_counter("route.probes_failed", c.probes_failed);
-    o.push_counter("route.shadow_refreshes", c.shadow_refreshes);
-    o.push_counter("route.shadow_refresh_failures", c.shadow_refresh_failures);
-    o.push_counter("route.pins_recovered", c.pins_recovered);
-    o.push_counter("route.shadows_recovered", c.shadows_recovered);
-    o.push_counter("route.state_append_failures", c.state_append_failures);
+    o.push_counters("route.", shared.metrics.snapshot().named());
     if let Some(state) = &shared.state {
-        let s = plock(state).counters();
-        o.push_counter("route.state_appends", s.appends);
-        o.push_counter("route.state_append_bytes", s.append_bytes);
-        o.push_counter("route.state_compactions", s.compactions);
-        o.push_counter("route.state_truncated_bytes", s.truncated_bytes);
-        o.push_counter("route.state_decode_rejects", s.decode_rejects);
+        o.push_counters("route.state_", plock(state).counters().named());
     }
     let registry = plock(&shared.registry);
-    o.push_counter(
-        "route.backends_healthy",
-        registry.count_in(BackendState::Healthy),
+    let count = |state| registry.count_in(state);
+    o.push_counters(
+        "route.backends_",
+        [
+            ("healthy", count(BackendState::Healthy)),
+            ("degraded", count(BackendState::Degraded)),
+            ("draining", count(BackendState::Draining)),
+            ("dead", count(BackendState::Dead)),
+        ],
     );
-    o.push_counter(
-        "route.backends_degraded",
-        registry.count_in(BackendState::Degraded),
-    );
-    o.push_counter(
-        "route.backends_draining",
-        registry.count_in(BackendState::Draining),
-    );
-    o.push_counter("route.backends_dead", registry.count_in(BackendState::Dead));
     o
 }
 
@@ -1255,6 +1257,16 @@ fn write_response(stream: &mut TcpStream, correlation: u64, response: &Response)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<RouteCounters>(),
+            8 * RouteCounters::default().named().len()
+        );
+    }
 
     #[test]
     fn replay_skip_requires_the_shadow_to_have_caught_up() {

@@ -277,6 +277,21 @@ pub struct StateLogCounters {
     pub decode_rejects: u64,
 }
 
+impl StateLogCounters {
+    /// Every counter by field name, in field order (observed as
+    /// `route.state_*`).
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("appends", self.appends),
+            ("append_bytes", self.append_bytes),
+            ("compactions", self.compactions),
+            ("truncated_bytes", self.truncated_bytes),
+            ("decode_rejects", self.decode_rejects),
+        ]
+    }
+}
+
 /// The CHAMRTE1 log at `dir/ROUTER.log`: a [`RecordLog`] plus the
 /// router's compaction policy. Appends are durable before they return —
 /// an acked pin or shadow survives a SIGKILL of the router process, the
@@ -351,6 +366,16 @@ impl StateLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<StateLogCounters>(),
+            8 * StateLogCounters::default().named().len()
+        );
+    }
 
     #[test]
     fn records_roundtrip() {

@@ -43,6 +43,26 @@ pub struct ServeCounters {
     pub latency: LatencyHistogram,
 }
 
+impl ServeCounters {
+    /// Every scalar counter (all but `latency`) by field name, in field
+    /// order: the one list the observation (`serve.*`) and `--json` read.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 10] {
+        [
+            ("connections_accepted", self.connections_accepted),
+            ("connections_closed", self.connections_closed),
+            ("frames_in", self.frames_in),
+            ("frames_out", self.frames_out),
+            ("bytes_in", self.bytes_in),
+            ("bytes_out", self.bytes_out),
+            ("decode_rejects", self.decode_rejects),
+            ("backpressure_replies", self.backpressure_replies),
+            ("requests_ok", self.requests_ok),
+            ("requests_failed", self.requests_failed),
+        ]
+    }
+}
+
 /// Shared, thread-safe counter block the acceptor, connection workers, and
 /// engine thread all update.
 #[derive(Debug, Default)]
@@ -91,6 +111,16 @@ impl ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<ServeCounters>(),
+            8 * ServeCounters::default().named().len() + std::mem::size_of::<LatencyHistogram>()
+        );
+    }
 
     // The histogram's own boundary/quantile/merge tests live with its
     // implementation in `chameleon-obs`; here we only pin that the

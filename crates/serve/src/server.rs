@@ -591,49 +591,12 @@ fn build_observation(
         o.push_counter(format!("{prefix}.evictions"), shard.evictions);
     }
     if let Some(balancer) = balancer {
-        for (name, value) in balancer.counters().named() {
-            o.push_counter(name, value);
-        }
+        o.push_counters("balance.", balancer.counters().named());
     }
-    let t = fm.merged_trace();
-    o.push_counter("trace.inputs", t.inputs);
-    o.push_counter("trace.trunk_passes", t.trunk_passes);
-    o.push_counter("trace.head_fwd_passes", t.head_fwd_passes);
-    o.push_counter("trace.head_bwd_passes", t.head_bwd_passes);
-    o.push_counter("trace.onchip_sample_reads", t.onchip_sample_reads);
-    o.push_counter("trace.onchip_sample_writes", t.onchip_sample_writes);
-    o.push_counter("trace.offchip_latent_reads", t.offchip_latent_reads);
-    o.push_counter("trace.offchip_latent_writes", t.offchip_latent_writes);
-    o.push_counter("trace.offchip_raw_reads", t.offchip_raw_reads);
-    o.push_counter("trace.offchip_raw_writes", t.offchip_raw_writes);
-    o.push_counter("trace.covariance_updates", t.covariance_updates);
-    o.push_counter("trace.matrix_inversions", t.matrix_inversions);
-    o.push_counter("trace.inversion_dim", t.inversion_dim as u64);
-    let c = metrics.snapshot();
-    o.push_counter("serve.connections_accepted", c.connections_accepted);
-    o.push_counter("serve.connections_closed", c.connections_closed);
-    o.push_counter("serve.frames_in", c.frames_in);
-    o.push_counter("serve.frames_out", c.frames_out);
-    o.push_counter("serve.bytes_in", c.bytes_in);
-    o.push_counter("serve.bytes_out", c.bytes_out);
-    o.push_counter("serve.decode_rejects", c.decode_rejects);
-    o.push_counter("serve.backpressure_replies", c.backpressure_replies);
-    o.push_counter("serve.requests_ok", c.requests_ok);
-    o.push_counter("serve.requests_failed", c.requests_failed);
-    if let Some(s) = fleet.store_counters() {
-        o.push_counter("store.appends", s.appends);
-        o.push_counter("store.append_bytes", s.append_bytes);
-        o.push_counter("store.fsyncs", s.fsyncs);
-        o.push_counter("store.rotations", s.rotations);
-        o.push_counter("store.compactions", s.compactions);
-        o.push_counter("store.torn_truncations", s.torn_truncations);
-        o.push_counter("store.truncated_bytes", s.truncated_bytes);
-        o.push_counter("store.decode_rejects", s.decode_rejects);
-        o.push_counter("store.short_reads", s.short_reads);
-        o.push_counter("store.sessions_recovered", s.sessions_recovered);
-        o.push_counter("store.segments", s.segments);
-        o.push_counter("store.live_records", s.live_records);
-        o.push_counter("store.dead_bytes", s.dead_bytes);
+    o.push_counters("trace.", fm.merged_trace().named());
+    o.push_counters("serve.", metrics.snapshot().named());
+    if let Some(store) = fleet.store_counters() {
+        o.push_counters("store.", store.named());
     }
     o
 }

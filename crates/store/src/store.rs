@@ -87,6 +87,29 @@ pub struct StoreCounters {
     pub dead_bytes: u64,
 }
 
+impl StoreCounters {
+    /// Every counter by field name, in field order: the one list the
+    /// observation (`store.*`) and `fleet --json` read.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 13] {
+        [
+            ("appends", self.appends),
+            ("append_bytes", self.append_bytes),
+            ("fsyncs", self.fsyncs),
+            ("rotations", self.rotations),
+            ("compactions", self.compactions),
+            ("torn_truncations", self.torn_truncations),
+            ("truncated_bytes", self.truncated_bytes),
+            ("decode_rejects", self.decode_rejects),
+            ("short_reads", self.short_reads),
+            ("sessions_recovered", self.sessions_recovered),
+            ("segments", self.segments),
+            ("live_records", self.live_records),
+            ("dead_bytes", self.dead_bytes),
+        ]
+    }
+}
+
 /// Failures of store operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
@@ -725,6 +748,16 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_lists_every_field() {
+        // Every counter is 8 bytes wide, so a field missing from the
+        // list shows up as a size mismatch.
+        assert_eq!(
+            std::mem::size_of::<StoreCounters>(),
+            8 * StoreCounters::default().named().len()
+        );
+    }
     use chameleon_faults::FileFaultModel;
 
     fn scratch(name: &str) -> PathBuf {

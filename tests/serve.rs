@@ -538,6 +538,29 @@ fn store_backed_server_survives_restart_with_sessions_intact() {
         }
 
         let observation = client.observe().expect("observe");
+        // Counter names are an interface (perfbench, dashboards and the
+        // CI greps read them): each layer's `named()` list under its
+        // prefix, in struct order.
+        let names: Vec<&str> = observation
+            .counters
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| !name.starts_with("fleet."))
+            .collect();
+        assert_eq!(
+            names.join(" "),
+            "trace.inputs trace.trunk_passes trace.head_fwd_passes trace.head_bwd_passes \
+             trace.onchip_sample_reads trace.onchip_sample_writes trace.offchip_latent_reads \
+             trace.offchip_latent_writes trace.offchip_raw_reads trace.offchip_raw_writes \
+             trace.covariance_updates trace.matrix_inversions trace.inversion_dim \
+             serve.connections_accepted serve.connections_closed serve.frames_in \
+             serve.frames_out serve.bytes_in serve.bytes_out serve.decode_rejects \
+             serve.backpressure_replies serve.requests_ok serve.requests_failed \
+             store.appends store.append_bytes store.fsyncs store.rotations store.compactions \
+             store.torn_truncations store.truncated_bytes store.decode_rejects \
+             store.short_reads store.sessions_recovered store.segments store.live_records \
+             store.dead_bytes"
+        );
         assert_eq!(
             observation.counter("store.appends"),
             observation.counter("fleet.evictions"),
